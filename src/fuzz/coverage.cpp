@@ -1,7 +1,7 @@
 #include "src/fuzz/coverage.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace connlab::fuzz {
 
@@ -27,91 +27,57 @@ struct ClassTable {
 };
 constexpr ClassTable kClasses;
 
-// The zero-word skip: maps are almost entirely zero after Clear (one exec
-// touches a few hundred cells), so 8 bytes at a time with an early-out is
-// the whole optimisation. memcpy keeps the loads alignment-agnostic and
-// UB-free; it compiles to a single 64-bit load.
-static_assert(CoverageMap::kSize % 8 == 0);
-
-inline std::uint64_t LoadWord(const std::uint8_t* p) noexcept {
-  std::uint64_t w;
-  std::memcpy(&w, p, sizeof(w));
-  return w;
-}
-
-inline void StoreWord(std::uint8_t* p, std::uint64_t w) noexcept {
-  std::memcpy(p, &w, sizeof(w));
-}
-
 }  // namespace
 
 std::uint8_t CountClass(std::uint8_t raw) noexcept { return kClasses.t[raw]; }
 
 void CoverageMap::Classify() noexcept {
-  std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) m[j] = kClasses.t[m[j]];
-  }
+  for (const std::uint16_t i : touched_) map_[i] = kClasses.t[map_[i]];
 }
 
-void CoverageMap::MergeClassified(const CoverageMap& other) noexcept {
-  std::uint8_t* m = map_.data();
-  const std::uint8_t* o = other.map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    const std::uint64_t theirs = LoadWord(o + i);
-    if (theirs == 0) continue;
-    StoreWord(m + i, LoadWord(m + i) | theirs);
+void CoverageMap::MergeClassified(const CoverageMap& other) {
+  for (const std::uint16_t i : other.touched_) {
+    if (map_[i] == 0) touched_.push_back(i);
+    map_[i] |= other.map_[i];
   }
 }
 
 int CoverageMap::AbsorbInto(CoverageMap& virgin,
                             std::vector<CoverageDelta>* delta) const {
   int news = 0;
-  const std::uint8_t* m = map_.data();
-  std::uint8_t* v = virgin.map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    const std::uint64_t fresh_w = LoadWord(m + i);
-    if (fresh_w == 0) continue;
-    if ((fresh_w & ~LoadWord(v + i)) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) {
-      const std::uint8_t fresh = m[j];
-      const std::uint8_t gained = static_cast<std::uint8_t>(fresh & ~v[j]);
-      if (gained == 0) continue;
-      const int cell_news = v[j] == 0 ? 2 : 1;
-      if (cell_news > news) news = cell_news;
-      if (delta != nullptr) delta->push_back(CoverageDelta{j, gained});
-      v[j] |= fresh;
+  for (const std::uint16_t i : touched_) {
+    const std::uint8_t fresh = map_[i];
+    std::uint8_t& v = virgin.map_[i];
+    const auto gained = static_cast<std::uint8_t>(fresh & ~v);
+    if (gained == 0) continue;
+    if (v == 0) {
+      news = 2;
+      virgin.touched_.push_back(i);
+    } else if (news == 0) {
+      news = 1;
     }
+    if (delta != nullptr) delta->push_back(CoverageDelta{i, gained});
+    v |= fresh;
   }
   return news;
 }
 
-void CoverageMap::ApplyDelta(std::span<const CoverageDelta> delta) noexcept {
-  for (const CoverageDelta& d : delta) map_[d.index & kMask] |= d.bits;
-}
-
-std::uint32_t CoverageMap::CountNonZero() const noexcept {
-  std::uint32_t n = 0;
-  const std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) n += m[j] != 0;
+void CoverageMap::ApplyDelta(std::span<const CoverageDelta> delta) {
+  for (const CoverageDelta& d : delta) {
+    const auto index = static_cast<std::uint16_t>(d.index & kMask);
+    if (map_[index] == 0 && d.bits != 0) touched_.push_back(index);
+    map_[index] |= d.bits;
   }
-  return n;
 }
 
-std::uint64_t CoverageMap::Digest() const noexcept {
-  // FNV-1a over (index, value) pairs of non-zero cells.
+std::uint64_t CoverageMap::Digest() const {
+  // FNV-1a over (index, value) pairs of non-zero cells, ascending index.
+  std::vector<std::uint16_t> order(touched_.begin(), touched_.end());
+  std::sort(order.begin(), order.end());
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::uint8_t* m = map_.data();
-  for (std::uint32_t i = 0; i < kSize; i += 8) {
-    if (LoadWord(m + i) == 0) continue;
-    for (std::uint32_t j = i; j < i + 8; ++j) {
-      if (m[j] == 0) continue;
-      h = (h ^ j) * 0x100000001b3ULL;
-      h = (h ^ m[j]) * 0x100000001b3ULL;
-    }
+  for (const std::uint16_t i : order) {
+    h = (h ^ i) * 0x100000001b3ULL;
+    h = (h ^ map_[i]) * 0x100000001b3ULL;
   }
   return h;
 }

@@ -7,6 +7,13 @@ std::size_t AssignThreadShard() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
 }
 
+MetricKind CounterKind(std::string_view name) noexcept {
+  if (name == "vm.superblock.compiles" || name == "vm.superblock.imports") {
+    return MetricKind::kSchedulingDependent;
+  }
+  return MetricKind::kSeeded;
+}
+
 Histogram::Data Histogram::Snapshot() const noexcept {
   Data data;
   data.buckets.assign(kBuckets, 0);

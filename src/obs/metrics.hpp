@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace connlab::obs {
@@ -131,6 +132,19 @@ class Histogram {
   std::string name_;
   Shard shards_[kMetricShards];
 };
+
+/// Whether a counter's value is a deterministic function of the run's seed
+/// and configuration, or can differ between identical runs with the thread
+/// scheduling. Determinism checks compare kSeeded counters exactly and
+/// scheduling-dependent ones only through the invariants they keep.
+enum class MetricKind : std::uint8_t { kSeeded, kSchedulingDependent };
+
+/// The declared kind of a counter; every counter not declared otherwise is
+/// kSeeded. vm.superblock.compiles and vm.superblock.imports are
+/// scheduling-dependent: same-image workers race first-insert-wins on the
+/// shared superblock registry, so one fixed total of blocks splits between
+/// the two by which worker compiles a block first (their sum is seeded).
+MetricKind CounterKind(std::string_view name) noexcept;
 
 /// Plain aggregated view of every registered metric at one instant.
 /// Counters in a snapshot can be rebased against an earlier snapshot

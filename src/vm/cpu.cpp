@@ -309,9 +309,11 @@ std::string Cpu::TraceString() const {
   return out;
 }
 
+void Cpu::ListTouched(std::uint16_t index) { cov_.touched->push_back(index); }
+
 void Cpu::Step() {
   if (stopped()) return;
-  if (cov_bitmap_ != nullptr) RecordCoverageEdge();
+  if (cov_.cells != nullptr) RecordEdge(CoverageLocation(pc_));
 
   if (predecode_enabled_) {
     const PredecodeEntry& slot = PredecodeSlot(pc_);

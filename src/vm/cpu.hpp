@@ -297,19 +297,18 @@ class Cpu {
   bool ShadowCheckReturn(std::uint32_t target) noexcept;
 
   // --- Edge coverage (AFL-style, for src/fuzz) ------------------------------
-  /// Attaches a coverage bitmap: from now on every retired instruction and
+  /// Attaches a coverage sink: from now on every retired instruction and
   /// host-function transit records the (previous location ^ current
-  /// location) edge with a saturating 8-bit counter. `index_mask` must be
-  /// bitmap-size-1 for a power-of-two bitmap. Cheap enough to leave on —
-  /// one hash, one xor, one increment per step; zero cost when detached.
-  void AttachCoverage(std::uint8_t* bitmap, std::uint32_t index_mask) noexcept {
-    cov_bitmap_ = bitmap;
-    cov_mask_ = index_mask;
+  /// location) edge with a saturating 8-bit counter, listing the cell in
+  /// `sink.touched` when it first becomes non-zero. Cheap enough to leave
+  /// on — one hash, one xor, one increment per step; zero cost when detached.
+  void AttachCoverage(CoverageSink sink) noexcept {
+    cov_ = sink;
     cov_prev_ = 0;
   }
-  void DetachCoverage() noexcept { cov_bitmap_ = nullptr; }
+  void DetachCoverage() noexcept { cov_ = CoverageSink{}; }
   [[nodiscard]] bool coverage_attached() const noexcept {
-    return cov_bitmap_ != nullptr;
+    return cov_.cells != nullptr;
   }
   /// Resets the edge chain so the next step starts a fresh edge (used at
   /// input boundaries so coverage is a function of the input alone).
@@ -395,12 +394,18 @@ class Cpu {
                                     mem::GuestAddr target);
 
   void Fault(std::string detail);
-  void RecordCoverageEdge() noexcept {
-    const std::uint32_t cur = CoverageLocation(pc_);
-    std::uint8_t& cell = cov_bitmap_[(cur ^ cov_prev_) & cov_mask_];
+  /// The edge update Step() and the superblock handlers share: the 16-bit
+  /// edge hash is the cell index, listed on the cell's first hit.
+  void RecordEdge(std::uint32_t cur) {
+    const auto index = static_cast<std::uint16_t>(cur ^ cov_prev_);
+    std::uint8_t& cell = cov_.cells[index];
+    if (cell == 0) ListTouched(index);
     if (cell != 0xFF) ++cell;  // saturate instead of wrapping to 0
     cov_prev_ = cur >> 1;      // AFL's shift keeps A->B distinct from B->A
   }
+  /// Out of line so RecordEdge stays small enough to inline into every
+  /// superblock handler: a cell's first hit is the rare case.
+  void ListTouched(std::uint16_t index);
   void ExecuteInstr(const isa::Instr& ins);
   void ExecVX86(const isa::Instr& ins, mem::GuestAddr pc_next);
   void ExecVARM(const isa::Instr& ins, mem::GuestAddr pc_next);
@@ -420,8 +425,7 @@ class Cpu {
   std::vector<std::uint32_t> shadow_;
   std::size_t trace_limit_ = 0;
   std::deque<TraceEntry> trace_;
-  std::uint8_t* cov_bitmap_ = nullptr;
-  std::uint32_t cov_mask_ = 0;
+  CoverageSink cov_;
   std::uint32_t cov_prev_ = 0;
   std::vector<PredecodeEntry> predecode_;
   std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86

@@ -54,4 +54,19 @@ std::uint32_t CoverageLocation(std::uint32_t pc) noexcept;
 /// overwhelming probability (distinct fixed salt).
 std::uint32_t EventFeature(EventKind kind) noexcept;
 
+/// Cells in an edge-coverage bitmap: the CPU indexes it with a 16-bit edge
+/// hash, so every index fits a std::uint16_t.
+inline constexpr std::uint32_t kCoverageCells = 1u << 16;
+
+/// Where the CPU records edge coverage (see Cpu::AttachCoverage):
+/// `cells` is a kCoverageCells-entry bitmap of saturating 8-bit counters and
+/// `touched` lists its non-zero cells. The CPU appends an edge's index to
+/// `touched` on the cell's 0 -> 1 transition, so each non-zero cell is
+/// listed exactly once. The bitmap's owner (fuzz::CoverageMap) keeps the
+/// same invariant for its own writes.
+struct CoverageSink {
+  std::uint8_t* cells = nullptr;
+  std::vector<std::uint16_t>* touched = nullptr;
+};
+
 }  // namespace connlab::vm

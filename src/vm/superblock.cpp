@@ -437,15 +437,10 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
 // Per-op bookkeeping at handler entry: the AFL edge update and retired-step
 // count, exactly as Step() does before executing an instruction. The exit
 // sentinel is the one handler that must NOT run this (it retires nothing).
-#define CL_ENTER()                                                          \
-  do {                                                                      \
-    if (cov_bitmap_ != nullptr) {                                           \
-      const std::uint32_t cl_cur = op->cov_loc;                             \
-      std::uint8_t& cl_cell = cov_bitmap_[(cl_cur ^ cov_prev_) & cov_mask_]; \
-      if (cl_cell != 0xFF) ++cl_cell;                                       \
-      cov_prev_ = cl_cur >> 1;                                              \
-    }                                                                       \
-    ++steps_;                                                               \
+#define CL_ENTER()                                      \
+  do {                                                  \
+    if (cov_.cells != nullptr) RecordEdge(op->cov_loc); \
+    ++steps_;                                           \
   } while (0)
 
 // Fall through to the next op in the block.
@@ -526,12 +521,7 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
 #define CL_HOST_DISPATCH()                                                   \
   do {                                                                       \
     if (steps_ >= steps_cap) return nullptr;                                 \
-    if (cov_bitmap_ != nullptr) {                                            \
-      const std::uint32_t cl_cur = op->cov_host;                             \
-      std::uint8_t& cl_cell = cov_bitmap_[(cl_cur ^ cov_prev_) & cov_mask_]; \
-      if (cl_cell != 0xFF) ++cl_cell;                                        \
-      cov_prev_ = cl_cur >> 1;                                               \
-    }                                                                        \
+    if (cov_.cells != nullptr) RecordEdge(op->cov_host);                     \
     DispatchHostFn(                                                          \
         *static_cast<const std::pair<std::string, HostFn>*>(op->host));      \
     if (stopped() || pc_ != op->pc_next || !breakpoints_.empty()) {          \

@@ -4,7 +4,10 @@
 // CVE-2017-12865 in the simulated dnsproxy from benign seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <vector>
 
 #include "src/dns/craft.hpp"
 #include "src/dns/message.hpp"
@@ -78,6 +81,173 @@ TEST(Coverage, SaturatesAt255) {
   CoverageMap map;
   for (int i = 0; i < 1000; ++i) map.AddFeature(9);
   EXPECT_EQ(map.data()[9], 0xFF);
+  ASSERT_EQ(map.touched().size(), 1u);  // listed once, on its first hit
+  EXPECT_EQ(map.touched()[0], 9u);
+}
+
+// The touched-list invariant: the list holds every non-zero cell's index,
+// each exactly once, and nothing else.
+void ExpectTouchedMatchesCells(const CoverageMap& map) {
+  std::vector<std::uint16_t> listed(map.touched().begin(),
+                                    map.touched().end());
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end())
+      << "an index is listed twice";
+  std::vector<std::uint16_t> nonzero;
+  for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+    if (map.data()[i] != 0) nonzero.push_back(static_cast<std::uint16_t>(i));
+  }
+  EXPECT_EQ(listed, nonzero);
+  EXPECT_EQ(map.CountNonZero(), nonzero.size());
+}
+
+// Real executions, both tiers, seeds plus a fixed mutant stream, all
+// accumulated into one map without clearing so the hot loop edges saturate.
+CoverageMap AccumulateRealExecs(TargetKind kind, bool superblocks) {
+  TargetConfig config;
+  config.kind = kind;
+  config.superblocks = superblocks;
+  auto target = MakeTarget(config);
+  EXPECT_TRUE(target.ok()) << target.status().ToString();
+  CoverageMap map;
+  if (!target.ok()) return map;
+  FuzzTarget& t = *target.value();
+  const std::vector<Bytes> seeds = t.SeedCorpus();
+  const MutationHint hint{t.fixed_prefix(), t.dns_shaped(), 4096};
+  Mutator mutator(util::Rng(5));
+  for (int round = 0; round < 40; ++round) {
+    for (const Bytes& seed : seeds) {
+      t.Execute(seed, map);
+      t.Execute(mutator.Mutate(seed, hint, seeds.front()), map);
+    }
+  }
+  return map;
+}
+
+TEST(Coverage, TouchedListMatchesCellsAfterRealExecs) {
+  for (const TargetKind kind : {TargetKind::kDnsproxy, TargetKind::kCamstored}) {
+    for (const bool superblocks : {true, false}) {
+      SCOPED_TRACE(std::string(TargetKindName(kind)) +
+                   (superblocks ? " superblocks" : " interpreter"));
+      const CoverageMap map = AccumulateRealExecs(kind, superblocks);
+      EXPECT_GT(map.CountNonZero(), 0u);
+      EXPECT_NE(std::find(map.data(), map.data() + CoverageMap::kSize, 0xFF),
+                map.data() + CoverageMap::kSize)
+          << "no cell saturated";
+      ExpectTouchedMatchesCells(map);
+    }
+  }
+}
+
+// Clear zeroes only the listed cells, so a writer that bypassed the list
+// would leave a non-zero cell behind here.
+TEST(Coverage, ClearAfterRealExecsZeroesEveryCell) {
+  for (const TargetKind kind : {TargetKind::kDnsproxy, TargetKind::kCamstored}) {
+    for (const bool superblocks : {true, false}) {
+      SCOPED_TRACE(std::string(TargetKindName(kind)) +
+                   (superblocks ? " superblocks" : " interpreter"));
+      CoverageMap map = AccumulateRealExecs(kind, superblocks);
+      map.Clear();
+      EXPECT_TRUE(map.touched().empty());
+      EXPECT_EQ(std::count(map.data(), map.data() + CoverageMap::kSize, 0),
+                static_cast<std::ptrdiff_t>(CoverageMap::kSize));
+    }
+  }
+}
+
+// Byte-at-a-time definitions of the map operations: the oracle the sparse
+// implementations must agree with.
+using Cells = std::array<std::uint8_t, CoverageMap::kSize>;
+
+Cells CellsOf(const CoverageMap& map) {
+  Cells cells;
+  std::copy(map.data(), map.data() + CoverageMap::kSize, cells.begin());
+  return cells;
+}
+
+void ReferenceClassify(Cells& cells) {
+  for (std::uint8_t& c : cells) c = CountClass(c);
+}
+
+int ReferenceAbsorb(const Cells& exec, Cells& virgin,
+                    std::vector<CoverageDelta>& delta) {
+  int news = 0;
+  for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+    const auto gained = static_cast<std::uint8_t>(exec[i] & ~virgin[i]);
+    if (gained == 0) continue;
+    news = std::max(news, virgin[i] == 0 ? 2 : 1);
+    delta.push_back(CoverageDelta{i, gained});
+    virgin[i] |= exec[i];
+  }
+  return news;
+}
+
+std::uint64_t ReferenceDigest(const Cells& cells) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+    if (cells[i] == 0) continue;
+    h = (h ^ i) * 0x100000001b3ULL;
+    h = (h ^ cells[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint8_t>> SortedDelta(
+    const std::vector<CoverageDelta>& delta) {
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> out;
+  for (const CoverageDelta& d : delta) out.emplace_back(d.index, d.bits);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Coverage, SparseOperationsMatchByteReference) {
+  util::Rng rng(2024);
+  CoverageMap virgin;
+  CoverageMap merged;
+  CoverageMap replayed;  // rebuilt from the published deltas alone
+  Cells ref_virgin{};
+  Cells ref_merged{};
+  for (int round = 0; round < 200; ++round) {
+    // A raw exec map: a few hundred features, most in a narrow range so
+    // rounds overlap, hit counts spanning every count class and saturation.
+    CoverageMap exec;
+    const std::uint64_t features = 1 + rng.NextBelow(300);
+    for (std::uint64_t f = 0; f < features; ++f) {
+      const std::uint32_t feature =
+          rng.NextBelow(4) == 0 ? static_cast<std::uint32_t>(rng.NextU64())
+                                : static_cast<std::uint32_t>(rng.NextBelow(2048));
+      const std::uint64_t hits = rng.NextBelow(8) == 0 ? 300 : 1 + rng.NextBelow(20);
+      for (std::uint64_t h = 0; h < hits; ++h) exec.AddFeature(feature);
+    }
+    ExpectTouchedMatchesCells(exec);
+
+    Cells ref_exec = CellsOf(exec);
+    ReferenceClassify(ref_exec);
+    exec.Classify();
+    ASSERT_EQ(CellsOf(exec), ref_exec) << "round " << round;
+
+    std::vector<CoverageDelta> delta;
+    std::vector<CoverageDelta> ref_delta;
+    const int news = exec.AbsorbInto(virgin, &delta);
+    ASSERT_EQ(news, ReferenceAbsorb(ref_exec, ref_virgin, ref_delta))
+        << "round " << round;
+    ASSERT_EQ(CellsOf(virgin), ref_virgin) << "round " << round;
+    ASSERT_EQ(SortedDelta(delta), SortedDelta(ref_delta)) << "round " << round;
+    replayed.ApplyDelta(delta);
+
+    merged.MergeClassified(exec);
+    for (std::uint32_t i = 0; i < CoverageMap::kSize; ++i) {
+      ref_merged[i] |= ref_exec[i];
+    }
+    ASSERT_EQ(CellsOf(merged), ref_merged) << "round " << round;
+  }
+  ExpectTouchedMatchesCells(virgin);
+  ExpectTouchedMatchesCells(merged);
+  ExpectTouchedMatchesCells(replayed);
+  EXPECT_EQ(CellsOf(replayed), ref_virgin);
+  EXPECT_EQ(virgin.Digest(), ReferenceDigest(ref_virgin));
+  EXPECT_EQ(merged.Digest(), ReferenceDigest(ref_merged));
+  EXPECT_EQ(replayed.Digest(), virgin.Digest());
 }
 
 // -------------------------------------------------------------- mutator ----

@@ -262,7 +262,18 @@ TEST(ObsCampaign, FixedSeedCampaignMetricsAreExact) {
   EXPECT_GE(m.counters.at("loader.snapshots_taken"), 1u);
 }
 
-// Two identically-seeded campaigns scrape identical counter deltas.
+TEST(ObsMetrics, CounterKindsAreDeclared) {
+  EXPECT_EQ(CounterKind("fuzz.execs"), MetricKind::kSeeded);
+  EXPECT_EQ(CounterKind("vm.superblock.hits"), MetricKind::kSeeded);
+  EXPECT_EQ(CounterKind("vm.superblock.compiles"),
+            MetricKind::kSchedulingDependent);
+  EXPECT_EQ(CounterKind("vm.superblock.imports"),
+            MetricKind::kSchedulingDependent);
+}
+
+// Two identically-seeded campaigns scrape identical counter deltas: every
+// seeded counter exactly; the scheduling-dependent compiles/imports split
+// through its seeded sum. Both runs must scrape the same set of keys.
 TEST(ObsCampaign, MetricsAreDeterministicAcrossRuns) {
   const auto run_once = [] {
     // Start each run with a cold shared-superblock registry: with a warm one
@@ -275,13 +286,24 @@ TEST(ObsCampaign, MetricsAreDeterministicAcrossRuns) {
     auto report = fuzz::Fuzzer(SmallCampaign(7, 2)).Run();
     EXPECT_TRUE(report.ok());
     MetricsSnapshot m = scope.Metrics();
-    // Wall-clock gauges/rates don't exist in the registry; everything
-    // scraped here is a deterministic function of the seed.
+    // Wall-clock gauges/rates don't exist in the registry; every counter
+    // scraped here declares its kind (CounterKind).
     return m;
   };
   const MetricsSnapshot a = run_once();
   const MetricsSnapshot b = run_once();
-  EXPECT_EQ(a.counters, b.counters);
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (const auto& [name, value] : a.counters) {
+    ASSERT_EQ(b.counters.count(name), 1u) << name;
+    if (CounterKind(name) == MetricKind::kSeeded) {
+      EXPECT_EQ(value, b.counters.at(name)) << name;
+    }
+  }
+  const auto built = [](const MetricsSnapshot& m) {
+    return m.counters.at("vm.superblock.compiles") +
+           m.counters.at("vm.superblock.imports");
+  };
+  EXPECT_EQ(built(a), built(b));
   EXPECT_EQ(a.histograms.at("fuzz.input_bytes").count,
             b.histograms.at("fuzz.input_bytes").count);
   EXPECT_EQ(a.histograms.at("fuzz.input_bytes").sum,
