@@ -184,9 +184,15 @@ BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   constexpr std::uint64_t kExecs = kExecsPerWorker;
 
+  // The denominator is the engine before any VM tier: the plain
+  // interpreter (no predecode cache, superblocks, links or shared blocks)
+  // and a full re-Boot after every crash.
   vm::Cpu::set_predecode_default(false);
   fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
   legacy_config.target.fast_reset = false;
+  legacy_config.target.superblocks = false;
+  legacy_config.target.block_links = false;
+  legacy_config.target.shared_blocks = false;
   auto legacy = fuzz::Fuzzer(legacy_config).Run();
   vm::Cpu::set_predecode_default(true);
   auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();

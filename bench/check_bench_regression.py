@@ -81,10 +81,9 @@ INFO_ONLY = {
 }
 
 
-# Gated for equality. fleet_curve_digest is deliberately not listed yet: the
-# committed BENCH_fleet.json carries a stale one (0fd47deb...) whose cause has
-# not been found, and gating it would only fail on the known drift.
-DIGEST_KEYS = {"coverage_digest"}
+# Gated for equality: the fuzz campaign's coverage digest and the fleet
+# survival curve's digest (bench_fleet's b0/b4/b8 sweep, seed 42).
+DIGEST_KEYS = {"coverage_digest", "fleet_curve_digest"}
 
 
 def direction(key):

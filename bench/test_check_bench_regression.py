@@ -4,8 +4,9 @@
     python3 bench/test_check_bench_regression.py
 
 Runs the checker on small baseline/fresh artifact pairs and asserts its
-exit code: an equal coverage_digest passes, a differing one fails, and one
-missing from the fresh artifact fails.
+exit code: an equal digest passes, a differing one fails, and one missing
+from the fresh artifact fails — for the fuzz artifact's coverage_digest and
+the fleet artifact's fleet_curve_digest.
 """
 
 import json
@@ -19,6 +20,8 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "check_bench_regression.py")
 
 BASELINE = {"execs_per_sec": 1000.0, "coverage_digest": "d8788bc796ab373c"}
+FLEET_BASELINE = {"fleet_victims_per_sec": 250000.0,
+                  "fleet_curve_digest": "2b58f6fb2f768f51"}
 
 
 def run_checker(baseline, fresh):
@@ -52,6 +55,26 @@ class DigestGate(unittest.TestCase):
         result = run_checker(BASELINE, fresh)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("coverage_digest", result.stderr)
+
+
+class FleetDigestGate(unittest.TestCase):
+    def test_equal_digest_passes(self):
+        result = run_checker(FLEET_BASELINE, dict(FLEET_BASELINE))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_differing_digest_fails(self):
+        # The stale pre-heap-class curve digest must not pass for the current
+        # one, however fast the run was.
+        fresh = dict(FLEET_BASELINE, fleet_curve_digest="0fd47debd3a9a904")
+        result = run_checker(FLEET_BASELINE, fresh)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("fleet_curve_digest", result.stderr)
+
+    def test_missing_digest_fails(self):
+        fresh = {"fleet_victims_per_sec": 250000.0}
+        result = run_checker(FLEET_BASELINE, fresh)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("fleet_curve_digest", result.stderr)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 //
 // One attacker profiles ONE captured device, then the rogue AP races its
 // pre-built volley against a churning fleet of simulated IoT clients —
-// every victim a snapshot-restore boot of one of 2^b diversity variants
-// with its own sampled mitigation policy. The deliverable is the survival
+// every victim one of 2^b diversity variants with its own sampled
+// mitigation policy. The deliverable is the survival
 // curve: compromised fraction vs diversity entropy, at whatever population
 // the flag asks for (a million victims runs in well under two minutes).
 //

@@ -43,8 +43,8 @@ connman::ProxyOutcome::Kind BridgeServiceKind(
 
 }  // namespace
 
-util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
-                                                    const PolicySpec& spec) {
+util::Result<VictimPool::Lane*> VictimPool::BootVictim(
+    std::uint32_t variant, const PolicySpec& spec) {
   const std::uint64_t key = LaneKey(variant, spec);
   auto it = lanes_.find(key);
   if (it == lanes_.end()) {
@@ -64,17 +64,12 @@ util::Result<VictimPool::Lane*> VictimPool::GetLane(std::uint32_t variant,
     ++stats_.lanes;
     OBS_COUNT("fleet.lanes_booted");
   }
-  return &it->second;
-}
-
-util::Status VictimPool::BootVictim(std::uint32_t variant,
-                                    const PolicySpec& spec) {
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+  Lane* lane = &it->second;
   const auto start = std::chrono::steady_clock::now();
   CONNLAB_RETURN_IF_ERROR(loader::RestoreSnapshot(*lane->sys, lane->snap));
   OBS_HISTOGRAM("loader.restore_cost", ElapsedNs(start));
   ++stats_.restores;
-  return util::OkStatus();
+  return lane;
 }
 
 util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
@@ -90,8 +85,7 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireVolley(
     }
   }
 
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, spec));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, BootVictim(variant, spec));
 
   // A fresh proxy per delivery clears host-side pending state, exactly like
   // the freshly-rebooted device it models.
@@ -136,8 +130,7 @@ util::Result<VictimPool::VolleyOutcome> VictimPool::FireServiceVolley(
     }
   }
 
-  CONNLAB_RETURN_IF_ERROR(BootVictim(variant, spec));
-  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, GetLane(variant, spec));
+  CONNLAB_ASSIGN_OR_RETURN(Lane * lane, BootVictim(variant, spec));
 
   const auto start = std::chrono::steady_clock::now();
   adapt::ServiceOutcome outcome;

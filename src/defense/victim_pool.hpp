@@ -2,13 +2,14 @@
 //
 // The fleet simulator boots millions of victims, but a population only has
 // as many *distinct* memory layouts as its diversity entropy allows: with b
-// bits of boot-seed entropy there are 2^b variants, and every victim is a
-// snapshot-restore of one of them. The pool makes that explicit: a "lane"
-// is one real loader::Boot of (variant seed, policy) kept alive with its
-// snapshot, a per-victim boot is a dirty-page RestoreSnapshot on its lane
-// (~sub-microsecond), and exploit deliveries against a lane are memoized —
-// the same snapshot fed the same wire bytes is deterministic, so only the
-// first victim on a lane pays the guest-code cost.
+// bits of boot-seed entropy there are 2^b variants. The pool makes that
+// explicit: a "lane" is one real loader::Boot of (variant seed, policy) kept
+// alive with its snapshot, and exploit deliveries against a lane are
+// memoized — the same snapshot fed the same wire bytes is deterministic, so
+// only the first victim on a lane pays for guest code. Lanes are lazy: one
+// boots when a volley first misses the memo on it, and every real volley
+// runs on a fresh device, a dirty-page RestoreSnapshot of its lane. A victim
+// whose volley the memo answers costs no boot and no restore.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,7 @@ class VictimPool {
 
   struct Stats {
     std::uint64_t lanes = 0;        // real boots: distinct (variant, policy)
-    std::uint64_t restores = 0;     // per-victim snapshot restores
+    std::uint64_t restores = 0;     // snapshot restores, one per real run
     std::uint64_t evaluations = 0;  // real guest-code volley runs
     std::uint64_t memo_hits = 0;    // deliveries answered from the memo
   };
@@ -70,13 +71,8 @@ class VictimPool {
   VictimPool(const VictimPool&) = delete;
   VictimPool& operator=(const VictimPool&) = delete;
 
-  /// Boots this victim: lazily materialises the (variant, spec) lane on
-  /// first use, then restores its snapshot. Records the restore cost in the
-  /// `loader.restore_cost` histogram (nanoseconds).
-  util::Status BootVictim(std::uint32_t variant, const PolicySpec& spec);
-
-  /// Boots the victim, then fires `query_wire` + `response_wire` through a
-  /// fresh proxy attached to it. Memoized on (variant, spec, volley_id);
+  /// Fires `query_wire` + `response_wire` through a fresh proxy on a freshly
+  /// restored (variant, spec) device. Memoized on (variant, spec, volley_id);
   /// pass `bypass_memo` to force a real guest-code run (tests use this to
   /// check the memo's honesty). Real runs record `vm.exec_latency` (ns).
   util::Result<VolleyOutcome> FireVolley(std::uint32_t variant,
@@ -86,13 +82,13 @@ class VictimPool {
                                          const util::Bytes& response_wire,
                                          bool bypass_memo = false);
 
-  /// Boots the victim, constructs `service` over the restored lane (a fresh
-  /// daemon on a freshly-restored device, exactly like FireVolley's fresh
-  /// proxy), and feeds `requests` in order — the groom sequence plus the
-  /// trigger. The first non-OK outcome ends the run: a device that dies
-  /// mid-groom is down, there is nobody left to parse the rest. Memoized on
-  /// (variant, spec, volley_id) like FireVolley; callers must hand distinct
-  /// volley_ids to distinct request sequences.
+  /// Constructs `service` over a freshly restored (variant, spec) device (a
+  /// fresh daemon, exactly like FireVolley's fresh proxy), and feeds
+  /// `requests` in order — the groom sequence plus the trigger. The first
+  /// non-OK outcome ends the run: a device that dies mid-groom is down,
+  /// there is nobody left to parse the rest. Memoized on (variant, spec,
+  /// volley_id) like FireVolley; callers must hand distinct volley_ids to
+  /// distinct request sequences.
   util::Result<VolleyOutcome> FireServiceVolley(
       std::uint32_t variant, const PolicySpec& spec, std::uint64_t volley_id,
       ServiceKind service, const std::vector<util::Bytes>& requests,
@@ -111,7 +107,10 @@ class VictimPool {
     return (static_cast<std::uint64_t>(variant) << 32) | spec.Key();
   }
 
-  util::Result<Lane*> GetLane(std::uint32_t variant, const PolicySpec& spec);
+  /// The fresh device a real volley runs on: boots the (variant, spec) lane
+  /// on first use, then restores its snapshot, recording the restore cost in
+  /// the `loader.restore_cost` histogram (nanoseconds).
+  util::Result<Lane*> BootVictim(std::uint32_t variant, const PolicySpec& spec);
 
   Config config_;
   std::map<std::uint64_t, Lane> lanes_;

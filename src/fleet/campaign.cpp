@@ -141,13 +141,10 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
   pool_config.superblocks = config.superblocks;
   pool_config.block_links = config.block_links;
   pool_config.shared_blocks = config.shared_blocks;
+  // The pool boots a lane only when a volley misses its memo: a victim
+  // whose outcome is already memoized costs no boot and no restore, and
+  // only the handful of evaluated (variant, policy) lanes is ever resident.
   defense::VictimPool pool(pool_config);
-  // Per-victim boots restore the victim's own variant lane (its diversity
-  // draw is the whole point); mitigation hardening only matters when a
-  // volley is actually evaluated, so it stays off the restore path and the
-  // resident-lane count is 2^b + a handful of hardened eval lanes.
-  defense::PolicySpec restore_spec;
-  restore_spec.stochastic_diversity = config.population.diversity_bits > 0;
   // Every mismatched variant fails the same way — the volley's addresses
   // are stale — so one representative wrong variant stands in for all of
   // them at evaluation time. Victims on the profiled variant are evaluated
@@ -238,10 +235,6 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
         }
         ++r.joins;
         st.attached = true;
-        // The device boots when it attaches: a dirty-page restore of its
-        // diversity variant under its own sampled mitigation policy.
-        CONNLAB_RETURN_IF_ERROR(
-            pool.BootVictim(st.traits.variant, restore_spec));
         Fold(r.digest, (static_cast<std::uint64_t>(ev.client) << 3) | 1u);
         queue.Push({now + 1 + st.rng.NextBelow(gap_span), Event::Kind::kQuery,
                     ev.client});

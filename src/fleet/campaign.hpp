@@ -1,11 +1,12 @@
 // The fleet campaign driver: DAEDALUS's question asked at population scale.
 //
 // One attacker profiles ONE captured device and fires the same pre-built
-// volley across a churning fleet. Every victim is a snapshot-restore boot
-// of one of 2^b diversity variants with its own sampled mitigation policy;
-// the campaign answers "what fraction of the population does that single
-// profiled exploit compromise?" as a function of diversity entropy,
-// mitigation adoption, and how much traffic the attacker can race.
+// volley across a churning fleet. Every victim runs one of 2^b diversity
+// variants with its own sampled mitigation policy (a volley the memo cannot
+// answer runs on a freshly restored defense::VictimPool lane); the campaign
+// answers "what fraction of the population does that single profiled
+// exploit compromise?" as a function of diversity entropy, mitigation
+// adoption, and how much traffic the attacker can race.
 //
 // Everything runs in virtual time off one seed: the same (seed, config)
 // replays to the same event order, the same outcomes, and the same FNV

@@ -179,12 +179,21 @@ TEST(VictimPool, MemoAgreesWithFreshEvaluation) {
 TEST(VictimPool, LanesAreSharedAcrossVictims) {
   FleetConfig config;
   defense::VictimPool pool({config.arch, config.base, /*seed0=*/55});
+  auto battery = attack::BuildVolleyBattery(
+      config.arch, config.base, /*lab_seed=*/55,
+      {exploit::TechniqueFor(config.arch, config.base)});
+  ASSERT_TRUE(battery.ok()) << battery.status().ToString();
   const defense::PolicySpec none;
   for (int victim = 0; victim < 10; ++victim) {
-    ASSERT_TRUE(pool.BootVictim(0, none).ok());
+    ASSERT_TRUE(pool.FireVolley(0, none, 0, battery.value().query_wire,
+                                battery.value().volleys[0].response_wire,
+                                /*bypass_memo=*/true)
+                    .ok());
   }
+  // One boot, then a fresh restore under every real run.
   EXPECT_EQ(pool.stats().lanes, 1u);
   EXPECT_EQ(pool.stats().restores, 10u);
+  EXPECT_EQ(pool.stats().evaluations, 10u);
 }
 
 TEST(VictimPool, ServiceVolleyMemoAgreesWithFreshEvaluation) {
@@ -258,7 +267,9 @@ TEST(FleetCampaign, EveryVictimIsSeatedAndAccountedFor) {
   // Terminal states partition the fleet: shelled, crashed, or walked away.
   EXPECT_EQ(r.compromised + r.crashed + r.leaves, r.victims);
   EXPECT_GE(r.joins, r.victims);  // roams and retries re-join
-  EXPECT_EQ(r.pool.restores, r.joins + r.pool.evaluations);
+  // Lanes boot lazily: only a real volley run restores one.
+  EXPECT_EQ(r.pool.restores, r.pool.evaluations);
+  EXPECT_LE(r.pool.lanes, r.pool.evaluations);
   EXPECT_GT(r.queries, r.victims);  // everyone got at least one query in
 }
 
@@ -304,7 +315,9 @@ TEST(FleetCampaign, PointerLoopCampaignOnlyEverDoses) {
   EXPECT_EQ(r.compromised, 0u);  // control-flow-free: no shell exists
   EXPECT_GT(r.crashed, 0u);
   EXPECT_EQ(r.compromised + r.crashed + r.leaves, r.victims);
-  EXPECT_EQ(r.pool.restores, r.joins + r.pool.evaluations);
+  // Lanes boot lazily: only a real volley run restores one.
+  EXPECT_EQ(r.pool.restores, r.pool.evaluations);
+  EXPECT_LE(r.pool.lanes, r.pool.evaluations);
   // Entropy-independent payoff: the loop volley carries no addresses, so
   // the DoS *fraction* stays flat when the fleet diversifies. (The digest
   // still moves — skipping the variant draw at 0 bits shifts every later
@@ -356,6 +369,35 @@ TEST(FleetCampaign, BugClassesUseDistinctMemoStreams) {
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(a.value().digest, b.value().digest);
   EXPECT_NE(a.value().digest, c.value().digest);
+}
+
+TEST(FleetCampaign, LazyLanesLeaveEveryEventStreamAlone) {
+  // Pinned when every DHCP join still booted and restored its variant's
+  // lane. Lanes now boot only when a volley misses the memo; the event
+  // stream — and so every digest — must not notice.
+  struct Pin {
+    fleet::BugClass bug_class;
+    int diversity_bits;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {fleet::BugClass::kStackSmash, 2, 0x6bb657b973ba5177ull},
+      {fleet::BugClass::kStackSmash, 8, 0xc43b0bdf8f64779full},
+      {fleet::BugClass::kPointerLoop, 2, 0xcf0262b0d890ba2aull},
+      {fleet::BugClass::kPointerLoop, 8, 0xcf0262b0d890ba2aull},
+      {fleet::BugClass::kHeapMetadata, 2, 0x34e4e1bab8e5ac94ull},
+      {fleet::BugClass::kHeapMetadata, 8, 0x34e4e1bab8e5ac94ull},
+  };
+  for (const Pin& pin : pins) {
+    FleetConfig config = SmallCampaign();
+    config.bug_class = pin.bug_class;
+    config.population.diversity_bits = pin.diversity_bits;
+    auto r = fleet::RunFleetCampaign(config);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().digest, pin.digest)
+        << fleet::BugClassName(pin.bug_class) << " at "
+        << pin.diversity_bits << " bits: 0x" << std::hex << r.value().digest;
+  }
 }
 
 TEST(FleetCampaign, RejectsBadConfigs) {
