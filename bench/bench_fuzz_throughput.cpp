@@ -177,24 +177,18 @@ void BM_Campaign(benchmark::State& state) {
 }
 BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// Legacy vs fast VM mode on a 1-worker campaign: legacy = byte-copying
-/// fetch/decode + full loader re-Boot per corruption; fast = predecode
-/// cache + snapshot-restore reboots. Same seed, so the coverage digests
-/// must match — the speedup is free only if behaviour is identical.
+/// Legacy vs fast engine on a 1-worker campaign: legacy = the reference
+/// interpreter (vm::ExecMode::kReference) + full loader re-Boot per
+/// corruption; fast = the default kFast CPU + snapshot-restore reboots.
+/// Same seed, so the coverage digests must match — the speedup is free
+/// only if behaviour is identical.
 void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   constexpr std::uint64_t kExecs = kExecsPerWorker;
 
-  // The denominator is the engine before any VM tier: the plain
-  // interpreter (no predecode cache, superblocks, links or shared blocks)
-  // and a full re-Boot after every crash.
-  vm::Cpu::set_predecode_default(false);
   fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
   legacy_config.target.fast_reset = false;
-  legacy_config.target.superblocks = false;
-  legacy_config.target.block_links = false;
-  legacy_config.target.shared_blocks = false;
+  legacy_config.target.exec_mode = vm::ExecMode::kReference;
   auto legacy = fuzz::Fuzzer(legacy_config).Run();
-  vm::Cpu::set_predecode_default(true);
   auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();
   if (!legacy.ok() || !fast.ok()) {
     std::printf("mode comparison failed\n");
@@ -209,9 +203,9 @@ void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   std::printf("== legacy vs fast VM mode — dnsproxy, 1 worker, seed 42 ==\n");
   std::printf("%-34s %12s %9s\n", "mode", "execs/sec", "reboots");
   std::printf("%s\n", std::string(58, '-').c_str());
-  std::printf("%-34s %12.0f %9llu\n", "legacy (no cache, full re-Boot)",
+  std::printf("%-34s %12.0f %9llu\n", "legacy (reference, full re-Boot)",
               ls.execs_per_sec, static_cast<unsigned long long>(ls.reboots));
-  std::printf("%-34s %12.0f %9llu\n", "fast (predecode + snapshot)",
+  std::printf("%-34s %12.0f %9llu\n", "fast (fast path + snapshot)",
               fs.execs_per_sec, static_cast<unsigned long long>(fs.reboots));
   std::printf("speedup: %.2fx, coverage digest %s\n\n", speedup,
               digests_match ? "identical" : "DIVERGED");

@@ -1,14 +1,26 @@
 // Machine-readable bench output: each bench binary accepts `--json[=path]`
 // and dumps a flat JSON object of its headline numbers (steps/sec,
 // execs/sec, reboot cost, speedups), so CI can archive and diff performance
-// across commits without scraping the human tables. Header-only and
+// across commits without scraping the human tables. Every artifact also
+// records where it was measured — host CPU model, compiler, build type and
+// core count — so a baseline diff can tell a regression from a different
+// machine; the regression gate never compares those keys. Header-only and
 // deliberately tiny — flat string/number objects only, no escaping beyond
 // what our own keys need.
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifndef CONNLAB_BENCH_COMPILER
+#define CONNLAB_BENCH_COMPILER "unknown"
+#endif
+#ifndef CONNLAB_BENCH_BUILD_TYPE
+#define CONNLAB_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace connlab::benchout {
 
@@ -34,10 +46,40 @@ inline std::string TakeJsonFlag(int& argc, char** argv,
   return path;
 }
 
+/// The host's CPU model (Linux /proc/cpuinfo), with the characters a flat
+/// JSON string cannot hold unescaped dropped; "unknown" elsewhere.
+inline std::string HostCpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+        model += c;
+      }
+    }
+    const std::size_t start = model.find_first_not_of(' ');
+    if (start != std::string::npos) return model.substr(start);
+    break;
+  }
+  return "unknown";
+}
+
 /// Flat JSON object writer. Values must not need escaping (our keys and
-/// values are identifiers, hex digests and numbers).
+/// values are identifiers, hex digests and numbers). Every object opens
+/// with the measurement metadata: host, compiler, build_type and nproc.
 class JsonWriter {
  public:
+  JsonWriter() {
+    String("host", HostCpuModel());
+    String("compiler", CONNLAB_BENCH_COMPILER);
+    String("build_type", CONNLAB_BENCH_BUILD_TYPE);
+    Integer("nproc", std::thread::hardware_concurrency());
+  }
+
   void Number(const std::string& key, double value) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", value);

@@ -12,7 +12,9 @@ its measurement is exactly how a regression would sneak past the tripwire.
 A gated key present in the fresh artifact but absent from the baseline also
 fails: it means a new headline metric was added without refreshing the
 committed baseline, so the gate would never actually watch it. Ungated keys
-(and INFO_ONLY ones) may come and go freely.
+(and INFO_ONLY ones) may come and go freely — among them the measurement
+metadata every artifact carries (host, compiler, build_type, nproc), which
+describes where a number came from, not the number itself.
 
 Digest keys (DIGEST_KEYS) are strings, gated for equality: a fresh digest
 that differs from the committed one means the measured run computed
@@ -41,16 +43,11 @@ HIGHER_BETTER = {
     "speedup_w8",
     "rop_steps_per_sec",
     "rop_steps_per_sec_legacy",
-    "rop_steps_per_sec_superblock",
-    "rop_steps_per_sec_linked",
     "rop_deliveries_per_sec",
     "loop_steps_per_sec",
     "loop_steps_per_sec_legacy",
-    "loop_steps_per_sec_superblock",
     "rop_speedup",
     "loop_speedup",
-    "superblock_speedup",
-    "link_speedup",
     "reboot_speedup",
     "dirty_restore_speedup",
     "execs_per_sec",
@@ -66,18 +63,13 @@ LOWER_BETTER = {"boot_us", "restore_us", "restore_full_us"}
 
 # Printed for the log but never gated: boot_us is allocator-bound and swings
 # ~40% run-to-run on loaded runners, restore_us is sub-microsecond (timer
-# noise dominates), and the ratios derived from them inherit the swing.
-# link_speedup divides two throughputs whose jitter is uncorrelated (the
-# predecode-tier denominator swings ~50% with box load while the linked
-# numerator barely moves), so the ratio spans ~1.5–2.5x across healthy runs;
-# the absolute rop_steps_per_sec_linked key carries that gate instead. The
+# noise dominates), and the ratios derived from them inherit the swing. The
 # stable anchors — restore_full_us and every throughput key — do the gating.
 INFO_ONLY = {
     "boot_us",
     "restore_us",
     "dirty_restore_speedup",
     "reboot_speedup",
-    "link_speedup",
 }
 
 

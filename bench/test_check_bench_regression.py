@@ -6,7 +6,8 @@
 Runs the checker on small baseline/fresh artifact pairs and asserts its
 exit code: an equal digest passes, a differing one fails, and one missing
 from the fresh artifact fails — for the fuzz artifact's coverage_digest and
-the fleet artifact's fleet_curve_digest.
+the fleet artifact's fleet_curve_digest. The measurement metadata every
+artifact carries (host, compiler, build_type, nproc) is never gated.
 """
 
 import json
@@ -75,6 +76,28 @@ class FleetDigestGate(unittest.TestCase):
         result = run_checker(FLEET_BASELINE, fresh)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("fleet_curve_digest", result.stderr)
+
+
+class MetadataIgnored(unittest.TestCase):
+    META = {"host": "CPU A", "compiler": "GNU 12.2.0",
+            "build_type": "RelWithDebInfo", "nproc": 4}
+
+    def test_differing_metadata_passes(self):
+        baseline = dict(BASELINE, **self.META)
+        fresh = dict(BASELINE, host="CPU B", compiler="Clang 17.0.0",
+                     build_type="Debug", nproc=64)
+        result = run_checker(baseline, fresh)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_metadata_absent_from_baseline_passes(self):
+        # Older baselines predate the metadata; its arrival is not a new
+        # gated key.
+        result = run_checker(BASELINE, dict(BASELINE, **self.META))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_metadata_missing_from_fresh_passes(self):
+        result = run_checker(dict(BASELINE, **self.META), dict(BASELINE))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,11 @@
 //   ./examples/fleet_campaign [--victims=N] [--seed=S] [--entropy=0,2,4,8]
 //                             [--sweep-workers=N] [--json=PATH]
 //                             [--metrics=PATH] [--trace=PATH]
-//                             [--no-superblocks] [--no-block-links]
-//                             [--no-shared-blocks] [--help]
+//                             [--reference] [--help]
 //
-// Execution-tier knobs (all on by default; the curve and its digests are
-// identical either way — A/B-measurement knobs, not behaviour switches):
-//   --no-superblocks   pin victim-lane CPUs to the plain interpreter
-//   --no-block-links   bare superblocks: no block chaining / continuation
-//   --no-shared-blocks compile blocks per-CPU; skip the per-image registry
+// `--reference` runs the lab and every victim-lane CPU on the reference
+// interpreter instead of the fast path; the curve and its digests are
+// identical either way (an A/B-measurement switch, not a behaviour switch).
 //
 // --sweep-workers spreads the sweep's (entropy, bug class) campaigns across
 // N threads (0 = one per hardware core, 1 = serial) — the curve and its
@@ -73,8 +70,7 @@ void PrintUsage() {
       "usage: fleet_campaign [--victims=N] [--seed=S] [--entropy=0,2,4,8]\n"
       "                      [--sweep-workers=N] [--json=PATH]\n"
       "                      [--metrics=PATH] [--trace=PATH]\n"
-      "                      [--no-superblocks] [--no-block-links]\n"
-      "                      [--no-shared-blocks] [--help]\n"
+      "                      [--reference] [--help]\n"
       "\n"
       "  --victims=N         fleet size per sweep point (default 20000)\n"
       "  --seed=S            campaign seed (default 42); same seed, same\n"
@@ -85,14 +81,8 @@ void PrintUsage() {
       "  --json=PATH         write the survival curve as JSON\n"
       "  --metrics=PATH      flat JSON dump of the metrics registry\n"
       "  --trace=PATH        chrome://tracing JSON of the run\n"
-      "\n"
-      "execution-tier knobs (all on by default; curve and digests are\n"
-      "identical either way — A/B measurement knobs only):\n"
-      "  --no-superblocks    plain interpreter, no threaded-code tier\n"
-      "  --no-block-links    bare superblocks: no block-to-block linking,\n"
-      "                      no host-fn/syscall continuation\n"
-      "  --no-shared-blocks  per-CPU block compilation only; skip the\n"
-      "                      process-wide per-image block registry\n");
+      "  --reference         run the reference interpreter instead of the\n"
+      "                      fast path (curve and digests are identical)\n");
 }
 
 std::vector<int> ParseIntList(const std::string& csv) {
@@ -139,15 +129,11 @@ int main(int argc, char** argv) {
   const std::string json_path = TakeFlag(args, "json");
   const std::string metrics_path = TakeFlag(args, "metrics");
   const std::string trace_path = TakeFlag(args, "trace");
-  const bool no_superblocks = TakeBareFlag(args, "no-superblocks");
-  const bool no_block_links = TakeBareFlag(args, "no-block-links");
-  const bool no_shared_blocks = TakeBareFlag(args, "no-shared-blocks");
+  const bool reference = TakeBareFlag(args, "reference");
   obs::Scope scope(obs::ScopeOptions{.trace = !trace_path.empty()});
 
   fleet::FleetConfig config;
-  config.superblocks = !no_superblocks;
-  config.block_links = !no_block_links;
-  config.shared_blocks = !no_shared_blocks;
+  config.exec_mode = reference ? vm::ExecMode::kReference : vm::ExecMode::kFast;
   config.victims = victims_flag.empty()
                        ? 20000
                        : std::strtoull(victims_flag.c_str(), nullptr, 10);

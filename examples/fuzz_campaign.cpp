@@ -11,18 +11,12 @@
 //                            [--sync-interval=N]
 //                            [--trace=t.json] [--metrics=m.json]
 //                            [--repro-dir=dir] [--distill]
-//                            [--no-superblocks] [--no-block-links]
-//                            [--no-shared-blocks] [--help]
+//                            [--reference] [--help]
 //
-// Execution-tier knobs (all tiers are on by default; the differential suite
-// proves every combination produces identical campaigns, so these are
-// debugging and A/B-measurement knobs, not behaviour switches):
-//   --no-superblocks   pin the victim CPUs to the plain interpreter
-//   --no-block-links   keep superblocks but disable block-to-block linking
-//                      and host-fn/syscall continuation (the bare tier)
-//   --no-shared-blocks compile every block privately instead of sharing
-//                      compiled blocks across workers via the per-image
-//                      block registry
+// `--reference` runs every target CPU on the reference interpreter instead
+// of the fast path (predecode, shared decode plans, linked superblocks).
+// The differential suite proves both modes produce identical campaigns, so
+// this is a debugging and A/B-measurement switch, not a behaviour switch.
 //
 // `--sync-interval=N` sets how many of its own execs each worker runs
 // between cross-worker corpus exchanges (multi-worker only; 0 disables
@@ -110,23 +104,16 @@ void PrintUsage() {
       "                     [corpus_file] [dict_file]\n"
       "                     [--sync-interval=N] [--trace=t.json]\n"
       "                     [--metrics=m.json] [--repro-dir=dir] [--distill]\n"
-      "                     [--no-superblocks] [--no-block-links]\n"
-      "                     [--no-shared-blocks] [--help]\n"
+      "                     [--reference] [--help]\n"
       "\n"
       "positional (defaults): seed 42, execs 20000, workers 1,\n"
       "  target dnsproxy (dnsproxy|minimasq|httpcamd|resolvd|camstored),\n"
       "  corpus_file persists the merged corpus, dict_file is an AFL-style\n"
       "  dictionary ('builtin' = built-in DNS tokens).\n"
       "\n"
-      "execution-tier knobs (all on by default; campaign results are\n"
-      "byte-identical either way — A/B measurement knobs only):\n"
-      "  --no-superblocks    plain interpreter, no threaded-code tier\n"
-      "  --no-block-links    bare superblocks: no block-to-block linking,\n"
-      "                      no host-fn/syscall continuation\n"
-      "  --no-shared-blocks  per-CPU block compilation only; skip the\n"
-      "                      process-wide per-image block registry\n"
-      "\n"
-      "other flags:\n"
+      "flags:\n"
+      "  --reference         run the reference interpreter instead of the\n"
+      "                      fast path (results are byte-identical)\n"
       "  --sync-interval=N   execs each worker runs between cross-worker\n"
       "                      corpus exchanges (0 = independent until merge)\n"
       "  --distill           coverage-ranked corpus distillation on save\n"
@@ -148,14 +135,11 @@ int main(int argc, char** argv) {
   const std::string repro_dir = TakeFlag(args, "repro-dir");
   const std::string sync_flag = TakeFlag(args, "sync-interval");
   const bool distill = TakeBareFlag(args, "distill");
-  const bool no_superblocks = TakeBareFlag(args, "no-superblocks");
-  const bool no_block_links = TakeBareFlag(args, "no-block-links");
-  const bool no_shared_blocks = TakeBareFlag(args, "no-shared-blocks");
+  const bool reference = TakeBareFlag(args, "reference");
 
   fuzz::FuzzConfig config;
-  config.target.superblocks = !no_superblocks;
-  config.target.block_links = !no_block_links;
-  config.target.shared_blocks = !no_shared_blocks;
+  config.target.exec_mode =
+      reference ? vm::ExecMode::kReference : vm::ExecMode::kFast;
   if (!sync_flag.empty()) {
     config.sync_interval = std::strtoull(sync_flag.c_str(), nullptr, 0);
   }

@@ -17,14 +17,16 @@ const Volley* VolleyBattery::Find(exploit::Technique technique) const {
 
 util::Result<VolleyBattery> BuildVolleyBattery(
     isa::Arch arch, const loader::ProtectionConfig& lab_prot,
-    std::uint64_t lab_seed, const std::vector<exploit::Technique>& techniques) {
+    std::uint64_t lab_seed, const std::vector<exploit::Technique>& techniques,
+    vm::ExecMode mode) {
   if (techniques.empty()) {
     return util::InvalidArgument("need at least one technique");
   }
   OBS_TRACE_SPAN(span, "attack", "BuildVolleyBattery");
 
   VolleyBattery battery;
-  CONNLAB_ASSIGN_OR_RETURN(auto lab, loader::Boot(arch, lab_prot, lab_seed));
+  CONNLAB_ASSIGN_OR_RETURN(auto lab,
+                           loader::Boot(arch, lab_prot, lab_seed, mode));
   connman::DnsProxy lab_proxy(*lab, connman::Version::k134);
   exploit::ProfileExtractor extractor(*lab, lab_proxy);
   CONNLAB_ASSIGN_OR_RETURN(battery.profile, extractor.Extract());

@@ -15,6 +15,7 @@
 #include "src/exploit/generator.hpp"
 #include "src/util/bytes.hpp"
 #include "src/util/status.hpp"
+#include "src/vm/cpu.hpp"
 
 namespace connlab::attack {
 
@@ -41,9 +42,10 @@ struct VolleyBattery {
 /// for the paper's controlled-environment chapter. Techniques whose payload
 /// cannot be built for this profile are skipped (volleys keeps input order
 /// of the ones that could); fails only when extraction itself fails or no
-/// technique survives.
+/// technique survives. `mode` is the lab CPU's execution mode.
 util::Result<VolleyBattery> BuildVolleyBattery(
     isa::Arch arch, const loader::ProtectionConfig& lab_prot,
-    std::uint64_t lab_seed, const std::vector<exploit::Technique>& techniques);
+    std::uint64_t lab_seed, const std::vector<exploit::Technique>& techniques,
+    vm::ExecMode mode = vm::ExecMode::kFast);
 
 }  // namespace connlab::attack

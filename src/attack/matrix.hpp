@@ -11,9 +11,11 @@
 namespace connlab::attack {
 
 /// The paper's core table: 2 architectures x 3 protection levels, each
-/// attacked with the matching technique against the vulnerable build.
+/// attacked with the matching technique against the vulnerable build, with
+/// every CPU booted in `mode`.
 util::Result<std::vector<AttackResult>> RunSixAttackMatrix(
-    std::uint64_t target_seed = 4242);
+    std::uint64_t target_seed = 4242,
+    vm::ExecMode mode = vm::ExecMode::kFast);
 
 /// Cross rows: each technique fired at every protection level (shows where
 /// each one stops working — the reason the paper escalates).

@@ -18,7 +18,8 @@ namespace {
 util::Result<exploit::TargetProfile> LabExtract(const ScenarioConfig& config,
                                                 int* probes) {
   CONNLAB_ASSIGN_OR_RETURN(
-      auto lab, loader::Boot(config.arch, config.prot, config.local_seed));
+      auto lab, loader::Boot(config.arch, config.prot, config.local_seed,
+                             config.exec_mode));
   connman::DnsProxy lab_proxy(*lab, connman::Version::k134);
   exploit::ProfileExtractor extractor(*lab, lab_proxy);
   CONNLAB_ASSIGN_OR_RETURN(exploit::TargetProfile profile, extractor.Extract());
@@ -87,7 +88,8 @@ util::Result<AttackResult> RunControlledScenario(const ScenarioConfig& config) {
   // with whatever the scenario's defense policy retrofits.
   CONNLAB_ASSIGN_OR_RETURN(auto target,
                            config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+                               config.arch, config.prot, config.target_seed,
+                               config.exec_mode));
   connman::DnsProxy proxy(*target, config.version);
 
   dns::Message query = dns::Message::Query(0x7E57, "target.device.lan");
@@ -125,7 +127,8 @@ util::Result<RemoteResult> RunPineappleScenario(const ScenarioConfig& config) {
   // --- The victim IoT device ----------------------------------------------
   CONNLAB_ASSIGN_OR_RETURN(auto firmware,
                            config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+                               config.arch, config.prot, config.target_seed,
+                               config.exec_mode));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
 
@@ -202,7 +205,8 @@ util::Result<LureResult> RunLureScenario(const ScenarioConfig& config) {
 
   CONNLAB_ASSIGN_OR_RETURN(auto firmware,
                            config.defense.BootHardened(
-                               config.arch, config.prot, config.target_seed));
+                               config.arch, config.prot, config.target_seed,
+                               config.exec_mode));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
   result.on_legitimate_network = victim.lease().dns_server == resolver.ip();
@@ -260,7 +264,8 @@ util::Result<PoisonResult> RunCachePoisoningScenario(const ScenarioConfig& confi
   radio.AddAp(&home_ap);
 
   CONNLAB_ASSIGN_OR_RETURN(
-      auto firmware, loader::Boot(config.arch, config.prot, config.target_seed));
+      auto firmware, loader::Boot(config.arch, config.prot, config.target_seed,
+                                  config.exec_mode));
   net::VictimDevice victim(*firmware, config.version, "HomeWiFi");
   CONNLAB_RETURN_IF_ERROR(victim.JoinWifi(radio, network));
 

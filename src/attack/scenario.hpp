@@ -33,6 +33,8 @@ struct ScenarioConfig {
   /// attacker's lab still profiles the stock `prot` firmware, so whatever
   /// the defense randomises or checks is honestly unknown to the exploit.
   defense::DefensePolicy defense;
+  /// Execution mode of every CPU the scenario boots (lab and victim).
+  vm::ExecMode exec_mode = vm::ExecMode::kFast;
 };
 
 /// Extracts a profile in the lab and attacks a fresh target boot.

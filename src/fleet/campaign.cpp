@@ -105,7 +105,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
           battery,
           attack::BuildVolleyBattery(config.arch, lab_prot,
                                      victim_seed0 + config.profiled_variant,
-                                     {technique}));
+                                     {technique}, config.exec_mode));
       break;
     }
     case BugClass::kPointerLoop: {
@@ -118,7 +118,8 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
       // allocator geometry the diversity shuffle never moves.
       CONNLAB_ASSIGN_OR_RETURN(
           auto lab, loader::Boot(config.arch, lab_prot,
-                                 victim_seed0 + config.profiled_variant));
+                                 victim_seed0 + config.profiled_variant,
+                                 config.exec_mode));
       adapt::Camstored lab_daemon(*lab);
       CONNLAB_ASSIGN_OR_RETURN(const exploit::TargetProfile profile,
                                lab_daemon.ProfileFor());
@@ -138,9 +139,7 @@ util::Result<FleetResult> RunFleetCampaign(const FleetConfig& config) {
 
   defense::VictimPool::Config pool_config{config.arch, config.base,
                                           victim_seed0};
-  pool_config.superblocks = config.superblocks;
-  pool_config.block_links = config.block_links;
-  pool_config.shared_blocks = config.shared_blocks;
+  pool_config.exec_mode = config.exec_mode;
   // The pool boots a lane only when a volley misses its memo: a victim
   // whose outcome is already memoized costs no boot and no restore, and
   // only the handful of evaluated (variant, policy) lanes is ever resident.

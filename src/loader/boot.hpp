@@ -49,8 +49,10 @@ struct System {
 
 /// Boots a fresh simulated target. `seed` drives every random draw (ASLR
 /// slides, canary value): same seed + same config => identical process image.
-util::Result<std::unique_ptr<System>> Boot(isa::Arch arch,
-                                           const ProtectionConfig& prot,
-                                           std::uint64_t seed);
+/// `mode` is the CPU's execution mode; a kFast boot also binds shared decode
+/// plans to the immutable text images.
+util::Result<std::unique_ptr<System>> Boot(
+    isa::Arch arch, const ProtectionConfig& prot, std::uint64_t seed,
+    vm::ExecMode mode = vm::ExecMode::kFast);
 
 }  // namespace connlab::loader

@@ -7,10 +7,7 @@ std::size_t AssignThreadShard() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
 }
 
-MetricKind CounterKind(std::string_view name) noexcept {
-  if (name == "vm.superblock.compiles" || name == "vm.superblock.imports") {
-    return MetricKind::kSchedulingDependent;
-  }
+MetricKind CounterKind(std::string_view /*name*/) noexcept {
   return MetricKind::kSeeded;
 }
 

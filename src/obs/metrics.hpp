@@ -140,10 +140,8 @@ class Histogram {
 enum class MetricKind : std::uint8_t { kSeeded, kSchedulingDependent };
 
 /// The declared kind of a counter; every counter not declared otherwise is
-/// kSeeded. vm.superblock.compiles and vm.superblock.imports are
-/// scheduling-dependent: same-image workers race first-insert-wins on the
-/// shared superblock registry, so one fixed total of blocks splits between
-/// the two by which worker compiles a block first (their sum is seeded).
+/// kSeeded. No counter is declared otherwise today: every CPU compiles its
+/// own blocks, so even vm.superblock.compiles is a function of the seed.
 MetricKind CounterKind(std::string_view name) noexcept;
 
 /// Plain aggregated view of every registered metric at one instant.

@@ -60,6 +60,14 @@ std::string_view StopReasonName(StopReason reason) noexcept {
   return "?";
 }
 
+std::string_view ExecModeName(ExecMode mode) noexcept {
+  switch (mode) {
+    case ExecMode::kReference: return "reference";
+    case ExecMode::kFast: return "fast";
+  }
+  return "?";
+}
+
 std::string StopInfo::ToString() const {
   std::string out(StopReasonName(reason));
   out += " at pc=" + Hex(pc);
@@ -70,16 +78,12 @@ std::string StopInfo::ToString() const {
   return out;
 }
 
-Cpu::Cpu(isa::Arch arch, mem::AddressSpace& space)
+Cpu::Cpu(isa::Arch arch, mem::AddressSpace& space, ExecMode mode)
     : arch_(arch),
       space_(&space),
+      mode_(mode),
       predecode_(kPredecodeSlots),
-      predecode_shift_(arch == isa::Arch::kVARM ? 2 : 0),
-      predecode_enabled_(predecode_default_),
-      shared_plans_enabled_(shared_plans_default_),
-      superblocks_enabled_(superblocks_default_),
-      block_links_enabled_(block_links_default_),
-      shared_superblocks_enabled_(shared_superblocks_default_) {}
+      predecode_shift_(arch == isa::Arch::kVARM ? 2 : 0) {}
 
 Cpu::~Cpu() {
 #ifndef CONNLAB_OBS_DISABLED
@@ -123,10 +127,6 @@ void Cpu::FlushObsBatch() noexcept {
     if (sb_->resumes != 0) {
       OBS_COUNT_N("vm.superblock.resumes", sb_->resumes);
       sb_->resumes = 0;
-    }
-    if (sb_->imports != 0) {
-      OBS_COUNT_N("vm.superblock.imports", sb_->imports);
-      sb_->imports = 0;
     }
   }
 }
@@ -268,7 +268,7 @@ StopInfo Cpu::Run(std::uint64_t max_steps) {
       break;
     }
     skip_breakpoint_once_ = false;
-    if (superblocks_enabled_ &&
+    if (mode_ == ExecMode::kFast &&
         TrySuperblocks(max_steps - (steps_ - start_steps))) {
       continue;  // re-evaluate stop/budget/breakpoints at the block boundary
     }
@@ -315,7 +315,7 @@ void Cpu::Step() {
   if (stopped()) return;
   if (cov_.cells != nullptr) RecordEdge(CoverageLocation(pc_));
 
-  if (predecode_enabled_) {
+  if (mode_ == ExecMode::kFast) {
     const PredecodeEntry& slot = PredecodeSlot(pc_);
     if (slot.pc == pc_ && slot.kind == PredecodeEntry::Kind::kInstr &&
         slot.gen == slot.seg->generation()) {
@@ -357,7 +357,7 @@ void Cpu::StepSlow() {
   // Host-function trampoline takes priority over decoding.
   auto host = host_fns_.find(pc_);
   if (host != host_fns_.end()) {
-    if (predecode_enabled_) {
+    if (mode_ == ExecMode::kFast) {
       PredecodeEntry& slot = PredecodeSlot(pc_);
       slot.pc = pc_;
       slot.kind = PredecodeEntry::Kind::kHostFn;
@@ -368,10 +368,10 @@ void Cpu::StepSlow() {
     return;
   }
 
-  if (!predecode_enabled_) {
-    // Legacy fetch/decode, byte-copying via util::Bytes. Kept verbatim as
-    // the differential-test baseline: identical fault wording, identical
-    // two-step VX86 fetch semantics.
+  if (mode_ == ExecMode::kReference) {
+    // The reference fetch/decode, byte-copying via util::Bytes: the oracle
+    // every fast path is checked against — identical fault wording,
+    // identical two-step VX86 fetch semantics.
     const std::uint32_t fetch_len =
         arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1;
     auto first = space_->Fetch(pc_, fetch_len);
@@ -411,7 +411,7 @@ void Cpu::StepSlow() {
   }
 
   // Zero-allocation fetch (this is where W^X bites: no X => fault). Mirrors
-  // the legacy path's two-step VX86 probe so fault details stay identical.
+  // the reference path's two-step VX86 probe so fault details stay identical.
   const std::uint32_t first_len =
       arch_ == isa::Arch::kVARM ? isa::kVARMInstrSize : 1;
   auto head = space_->FetchSegment(pc_, first_len);
@@ -427,25 +427,23 @@ void Cpu::StepSlow() {
   // the plan was built — so executing the planned decode is bit-identical
   // to decoding here. Offsets the plan could not decode fall through so
   // fault wording stays byte-identical to the plain path.
-  if (shared_plans_enabled_) {
-    if (const isa::Instr* planned = PlannedInstr(seg)) {
-      OBS_COUNT("vm.plan_hits");
-      PredecodeEntry& slot = PredecodeSlot(pc_);
-      slot.pc = pc_;
-      slot.kind = PredecodeEntry::Kind::kInstr;
-      slot.seg = seg;
-      slot.gen = seg->generation();
-      slot.instr = *planned;
-      slot.host = nullptr;
-      const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
-      ++steps_;                         // matching the hot path's idiom
-      if (trace_limit_ != 0) {
-        trace_.push_back({pc_, ins.ToString(arch_)});
-        if (trace_.size() > trace_limit_) trace_.pop_front();
-      }
-      ExecuteInstr(ins);
-      return;
+  if (const isa::Instr* planned = PlannedInstr(seg)) {
+    OBS_COUNT("vm.plan_hits");
+    PredecodeEntry& slot = PredecodeSlot(pc_);
+    slot.pc = pc_;
+    slot.kind = PredecodeEntry::Kind::kInstr;
+    slot.seg = seg;
+    slot.gen = seg->generation();
+    slot.instr = *planned;
+    slot.host = nullptr;
+    const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
+    ++steps_;                         // matching the hot path's idiom
+    if (trace_limit_ != 0) {
+      trace_.push_back({pc_, ins.ToString(arch_)});
+      if (trace_.size() > trace_limit_) trace_.pop_front();
     }
+    ExecuteInstr(ins);
+    return;
   }
 
   std::uint32_t len = first_len;

@@ -33,6 +33,20 @@ struct SbOp;
 struct Superblock;
 class SuperblockCache;
 
+/// How a CPU executes guest code. Fixed at construction; every CPU carries
+/// its own, so CPUs in different modes can run side by side in one process.
+enum class ExecMode : std::uint8_t {
+  /// The oracle: byte-copying fetch and decode of every instruction, no
+  /// caches of any kind. Every paper result is defined by what this does.
+  kReference,
+  /// The one fast path: predecode cache, shared decode plans, superblocks
+  /// with block links and host-fn/syscall continuation. Observably
+  /// identical to kReference (tests/test_differential.cpp).
+  kFast,
+};
+
+std::string_view ExecModeName(ExecMode mode) noexcept;
+
 enum class StopReason : std::uint8_t {
   kRunning,       // not stopped (internal)
   kHalted,        // hlt or an explicit clean stop from a host function
@@ -64,7 +78,8 @@ class Cpu {
  public:
   using HostFn = std::function<util::Status(Cpu&)>;
 
-  Cpu(isa::Arch arch, mem::AddressSpace& space);
+  Cpu(isa::Arch arch, mem::AddressSpace& space,
+      ExecMode mode = ExecMode::kFast);
   ~Cpu();
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -111,39 +126,25 @@ class Cpu {
   /// observable through stopped()/stop_info() afterwards.
   void Step();
 
+  // --- Execution mode -------------------------------------------------------
+  [[nodiscard]] ExecMode exec_mode() const noexcept { return mode_; }
+
   // --- Predecode cache ------------------------------------------------------
-  // Direct-mapped cache of decoded instructions (and host-function hits)
-  // keyed by pc. Entries are tagged with the backing segment's write
+  // kFast only. Direct-mapped cache of decoded instructions (and host-function
+  // hits) keyed by pc. Entries are tagged with the backing segment's write
   // generation, so any write into a segment — shellcode landing on the
   // stack, a debugger poke into .text — invalidates its cached decodes and
   // the next execution re-fetches through the permission-checked front door.
-  // Disabled, the CPU runs the legacy fetch/decode path instruction by
-  // instruction (the differential-test and benchmarking baseline).
-  void set_predecode_enabled(bool enabled) noexcept {
-    predecode_enabled_ = enabled;
-    FlushPredecodeCache();
-  }
-  [[nodiscard]] bool predecode_enabled() const noexcept {
-    return predecode_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs (the loader
-  /// builds CPUs deep inside Boot; tests flip this to compare modes).
-  static void set_predecode_default(bool enabled) noexcept {
-    predecode_default_ = enabled;
-  }
-  [[nodiscard]] static bool predecode_default() noexcept {
-    return predecode_default_;
-  }
   void FlushPredecodeCache() noexcept;
 
   // --- Shared decode plans --------------------------------------------------
   // A binding attaches an immutable DecodePlan (see vm/decode_plan.hpp) to
   // one of this CPU's segments at its current write generation. While the
-  // generation holds, predecode misses inside the segment are served from
-  // the plan instead of decoding; the moment the segment is written or
+  // generation holds, kFast predecode misses inside the segment are served
+  // from the plan instead of decoding; the moment the segment is written or
   // re-protected the binding goes stale and the CPU falls back to the
   // ordinary per-CPU decode path (SMC-correct by construction). The loader
-  // binds plans for executable, non-writable segments at Boot.
+  // binds plans for executable, non-writable segments at a kFast Boot.
   void BindDecodePlan(const mem::Segment* seg,
                       std::shared_ptr<const DecodePlan> plan);
   /// After a snapshot restore rewrote `seg`'s bytes: re-arms the binding at
@@ -153,84 +154,17 @@ class Cpu {
                        std::uint64_t content_hash) noexcept;
   /// The plan currently bound for `seg` (stale or not); nullptr if none.
   [[nodiscard]] const DecodePlan* BoundPlan(const mem::Segment* seg) const noexcept;
-  void set_shared_plans_enabled(bool enabled) noexcept {
-    shared_plans_enabled_ = enabled;
-  }
-  [[nodiscard]] bool shared_plans_enabled() const noexcept {
-    return shared_plans_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs, mirroring
-  /// set_predecode_default (the differential suite toggles it around whole
-  /// scenarios).
-  static void set_shared_plans_default(bool enabled) noexcept {
-    shared_plans_default_ = enabled;
-  }
-  [[nodiscard]] static bool shared_plans_default() noexcept {
-    return shared_plans_default_;
-  }
 
   // --- Superblock tier ------------------------------------------------------
-  // Straight-line regions compiled into computed-goto threaded code (see
-  // vm/superblock.hpp): the Run() loop dispatches whole blocks when it can
-  // and falls back to Step() everywhere else. Blocks are keyed to (segment,
-  // write generation) exactly like predecode slots, so SMC / W^X flips /
-  // snapshot restores invalidate them; store-class ops re-check the code
-  // segment's generation mid-block. Disabling the tier drops every block.
-  void set_superblocks_enabled(bool enabled) noexcept {
-    superblocks_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool superblocks_enabled() const noexcept {
-    return superblocks_enabled_;
-  }
-  /// Process-wide default applied to newly constructed CPUs, mirroring
-  /// set_predecode_default (the differential suite toggles it around whole
-  /// scenarios; TargetConfig/FleetConfig knobs disable it per campaign).
-  static void set_superblocks_default(bool enabled) noexcept {
-    superblocks_default_ = enabled;
-  }
-  [[nodiscard]] static bool superblocks_default() noexcept {
-    return superblocks_default_;
-  }
+  // kFast only. Straight-line regions compiled into computed-goto threaded
+  // code (see vm/superblock.hpp): the Run() loop dispatches whole blocks
+  // when it can and falls back to Step() everywhere else. Blocks are keyed
+  // to (segment, write generation) exactly like predecode slots, so SMC /
+  // W^X flips / snapshot restores invalidate them; store-class ops re-check
+  // the code segment's generation mid-block. Direct branches link straight
+  // into compiled successors, and calls into host functions and syscalls
+  // continue in-block.
   void FlushSuperblocks() noexcept;
-
-  // --- Block links ----------------------------------------------------------
-  // Direct-branch terminators (jmp/jz/jnz, call/bl with static targets)
-  // chain straight into the compiled successor block instead of returning to
-  // the dispatch loop, after re-making every check a fresh entry makes.
-  // Disabling unlinks everything (links live inside the flushed blocks).
-  void set_block_links_enabled(bool enabled) noexcept {
-    block_links_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool block_links_enabled() const noexcept {
-    return block_links_enabled_;
-  }
-  static void set_block_links_default(bool enabled) noexcept {
-    block_links_default_ = enabled;
-  }
-  [[nodiscard]] static bool block_links_default() noexcept {
-    return block_links_default_;
-  }
-
-  // --- Shared superblocks ---------------------------------------------------
-  // Compiled blocks published to / imported from the process-wide
-  // SharedSuperblockRegistry, keyed by the bound DecodePlan's content
-  // identity (see vm/superblock.hpp). Only plan-backed segments share —
-  // scratch and writable segments always compile privately.
-  void set_shared_superblocks_enabled(bool enabled) noexcept {
-    shared_superblocks_enabled_ = enabled;
-    FlushSuperblocks();
-  }
-  [[nodiscard]] bool shared_superblocks_enabled() const noexcept {
-    return shared_superblocks_enabled_;
-  }
-  static void set_shared_superblocks_default(bool enabled) noexcept {
-    shared_superblocks_default_ = enabled;
-  }
-  [[nodiscard]] static bool shared_superblocks_default() noexcept {
-    return shared_superblocks_default_;
-  }
 
   // --- Snapshot state (loader::Snapshot) ------------------------------------
   /// Architectural state a snapshot must capture to make a later
@@ -356,8 +290,8 @@ class Cpu {
   [[nodiscard]] PredecodeEntry& PredecodeSlot(mem::GuestAddr pc) noexcept {
     return predecode_[(pc >> predecode_shift_) & (kPredecodeSlots - 1)];
   }
-  /// Predecode miss / legacy path: host-fn map lookup, permission-checked
-  /// fetch, decode, execute — and (when the cache is on) slot fill.
+  /// Predecode miss / kReference path: host-fn map lookup,
+  /// permission-checked fetch, decode, execute — and (kFast) slot fill.
   void StepSlow();
   void DispatchHostFn(const std::pair<std::string, HostFn>& fn);
 
@@ -427,20 +361,11 @@ class Cpu {
   std::deque<TraceEntry> trace_;
   CoverageSink cov_;
   std::uint32_t cov_prev_ = 0;
+  const ExecMode mode_;
   std::vector<PredecodeEntry> predecode_;
   std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86
-  bool predecode_enabled_ = true;
-  inline static bool predecode_default_ = true;
   std::vector<PlanBinding> plan_bindings_;  // one or two entries (.text, libc)
-  bool shared_plans_enabled_ = true;
-  inline static bool shared_plans_default_ = true;
   std::unique_ptr<SuperblockCache> sb_;  // lazily created on first Run
-  bool superblocks_enabled_ = true;
-  inline static bool superblocks_default_ = true;
-  bool block_links_enabled_ = true;
-  inline static bool block_links_default_ = true;
-  bool shared_superblocks_enabled_ = true;
-  inline static bool shared_superblocks_default_ = true;
 
 #ifndef CONNLAB_OBS_DISABLED
   /// Per-CPU staging for the obs counters: fuzz targets issue tens of tiny

@@ -191,64 +191,14 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
   // scratch or stack segment after Boot has no plan, and must still tier
   // up — that is exactly the injected-shellcode / bench-loop case).
   const DecodePlan* plan = nullptr;
-  if (shared_plans_enabled_) {
-    for (const PlanBinding& binding : plan_bindings_) {
-      if (binding.seg == seg && binding.gen == seg->generation()) {
-        plan = binding.plan.get();
-        break;
-      }
+  for (const PlanBinding& binding : plan_bindings_) {
+    if (binding.seg == seg && binding.gen == seg->generation()) {
+      plan = binding.plan.get();
+      break;
     }
   }
 
   const void* const* labels = ExecSuperblock(nullptr, nullptr, 0, 0);
-
-  // Shared-registry import: when a fresh DecodePlan binding pins this
-  // segment's content identity, a canonical block compiled by any CPU booted
-  // from the same image is copied into the private store instead of
-  // re-walking the instruction stream. Import is refused — and the local
-  // build below takes over — when local state could change the block's
-  // shape: a breakpoint anywhere, a host function shadowing an interior pc,
-  // or a call-host trampoline this CPU does not have.
-  // Only default-shape blocks are shared: with block links disabled the
-  // builder compiles the PR 9 shapes (syscalls terminate, no call-host
-  // continuation), and mixing shapes across CPUs would blur that A/B knob.
-  const bool shareable = shared_superblocks_enabled_ && block_links_enabled_ &&
-                         plan != nullptr && breakpoints_.empty();
-  if (shareable) {
-    auto canonical = SharedSuperblockRegistry::Instance().Lookup(
-        arch_, plan->base(), plan->size(), plan->content_hash(), entry);
-    if (canonical != nullptr) {
-      Superblock copy = *canonical;
-      bool import_ok = true;
-      for (SbOp& op : copy.ops) {
-        op.link_taken = nullptr;  // canonicals are scrubbed; be explicit
-        op.link_fall = nullptr;
-        if (op.handler == labels[kHExit]) continue;  // retires nothing
-        if (!host_fns_.empty() && host_fns_.contains(op.pc)) {
-          import_ok = false;  // a local trampoline would have ended the block
-          break;
-        }
-        if (op.handler == labels[kHXCallHost] ||
-            op.handler == labels[kHABlHost]) {
-          const mem::GuestAddr target =
-              op.handler == labels[kHXCallHost]
-                  ? op.instr.imm
-                  : op.pc_next + static_cast<std::int32_t>(op.instr.imm) * 4;
-          auto host = host_fns_.find(target);
-          if (host == host_fns_.end()) {
-            import_ok = false;
-            break;
-          }
-          op.host = &host->second;  // std::map nodes are pointer-stable
-        }
-      }
-      if (import_ok) {
-        ++sb_->imports;
-        auto [pos, inserted] = store.blocks.emplace(entry, std::move(copy));
-        return &pos->second;
-      }
-    }
-  }
 
   Superblock block;
   block.entry = entry;
@@ -290,7 +240,7 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
     // dispatches the trampoline and resumes at the fall-through pc.
     // (RegisterHostFn flushes every block, so the trampoline set cannot
     // change under a compiled block.)
-    if (block_links_enabled_ && !host_fns_.empty() &&
+    if (!host_fns_.empty() &&
         (ins->op == isa::Op::kCall || ins->op == isa::Op::kBl)) {
       const mem::GuestAddr target =
           ins->op == isa::Op::kCall
@@ -310,10 +260,6 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       ends_in_terminator = true;
       break;
     }
-    // With block links disabled (the PR 9 A/B baseline) syscalls end the
-    // region as they used to; the handler's continuation path then flows
-    // into the appended exit sentinel, handing control back unchanged.
-    if (!block_links_enabled_ && ins->op == isa::Op::kSyscall) break;
   }
   block.count = static_cast<std::uint32_t>(block.ops.size());
   if (block.usable()) {
@@ -327,20 +273,6 @@ const Superblock* Cpu::SuperblockFor(const mem::Segment* seg,
       block.ops.push_back(exit_op);
     }
     ++sb_->compiles;
-    if (shareable) {
-      // Publish a scrubbed canonical: link slots and host-fn pointers are
-      // per-CPU state; everything that remains is a pure function of the
-      // segment content the key hashes.
-      auto canonical = std::make_shared<Superblock>(block);
-      for (SbOp& op : canonical->ops) {
-        op.host = nullptr;
-        op.link_taken = nullptr;
-        op.link_fall = nullptr;
-      }
-      SharedSuperblockRegistry::Instance().Publish(
-          arch_, plan->base(), plan->size(), plan->content_hash(), entry,
-          std::move(canonical));
-    }
   }
   // Unusable blocks are inserted too: they negative-cache this entry pc so
   // the interpreter region is not re-scanned every visit.
@@ -479,10 +411,9 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
 // the dispatch loop whenever every per-entry precondition still holds —
 // block store still valid (generation unchanged), nothing stopped, no
 // breakpoints to honour, budget for a full pass of the target block. The
-// target may be this block's own entry (the tight-loop shape) or, with
-// block links enabled, any compiled block in the same segment; the resolved
-// edge is cached on the branch op. Anything else hands control back to
-// TrySuperblocks.
+// target may be this block's own entry (the tight-loop shape) or any
+// compiled block in the same segment; the resolved edge is cached on the
+// branch op. Anything else hands control back to TrySuperblocks.
 #define CL_BRANCH(target_val, SYNC_PC)                                    \
   do {                                                                    \
     const mem::GuestAddr cl_t = (target_val);                             \
@@ -495,7 +426,7 @@ bool Cpu::TrySuperblocks(std::uint64_t remaining) {
           op = block->ops.data();                                         \
           goto* const_cast<void*>(op->handler);                           \
         }                                                                 \
-      } else if (block_links_enabled_) {                                  \
+      } else {                                                            \
         const Superblock* cl_succ = LinkedSuccessor(*op, seg, cl_t);      \
         if (cl_succ != nullptr && steps_ + cl_succ->count <= steps_cap) { \
           ++sb_->links;                                                   \
@@ -1064,55 +995,5 @@ a_hlt:
 #undef CL_SET_PC_X86
 #undef CL_BRANCH
 #undef CL_HOST_DISPATCH
-
-SharedSuperblockRegistry& SharedSuperblockRegistry::Instance() {
-  static SharedSuperblockRegistry registry;
-  return registry;
-}
-
-std::shared_ptr<const Superblock> SharedSuperblockRegistry::Lookup(
-    isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-    std::uint64_t content_hash, mem::GuestAddr entry) const {
-  const Key key{static_cast<std::uint8_t>(arch), base, size, content_hash,
-                entry};
-  std::shared_lock lock(mu_);
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) return nullptr;
-  imports_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-void SharedSuperblockRegistry::Publish(isa::Arch arch, mem::GuestAddr base,
-                                       std::uint32_t size,
-                                       std::uint64_t content_hash,
-                                       mem::GuestAddr entry,
-                                       std::shared_ptr<const Superblock> block) {
-  const Key key{static_cast<std::uint8_t>(arch), base, size, content_hash,
-                entry};
-  std::unique_lock lock(mu_);
-  auto [it, inserted] = blocks_.emplace(key, std::move(block));
-  if (!inserted) return;  // racing publish of identical content: first wins
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  insertion_order_.push_back(key);
-  while (blocks_.size() > kMaxBlocks) {
-    blocks_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-  }
-}
-
-SharedSuperblockRegistry::Stats SharedSuperblockRegistry::GetStats() const {
-  std::shared_lock lock(mu_);
-  Stats stats;
-  stats.publishes = publishes_.load(std::memory_order_relaxed);
-  stats.imports = imports_.load(std::memory_order_relaxed);
-  stats.live_blocks = blocks_.size();
-  return stats;
-}
-
-void SharedSuperblockRegistry::Clear() {
-  std::unique_lock lock(mu_);
-  blocks_.clear();
-  insertion_order_.clear();
-}
 
 }  // namespace connlab::vm

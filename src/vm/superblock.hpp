@@ -13,7 +13,7 @@
 // fall-through pc and its precomputed AFL coverage location. Execution then
 // jumps handler-to-handler with no switch and no per-step cache probes.
 //
-// Three mechanisms keep execution inside threaded code across block
+// Two mechanisms keep execution inside threaded code across block
 // boundaries:
 //   - Block links: a direct branch terminator (jmp/jz/jnz, call/bl with a
 //     static target) re-enters either its own block (the self-loop shape) or
@@ -28,13 +28,9 @@
 //     — when the host function returned to the fall-through pc and budget
 //     still allows — resumes the block's remaining ops without leaving the
 //     executor. Syscalls likewise continue in-block.
-//   - A shared per-image block store (SharedSuperblockRegistry below): CPUs
-//     with a valid DecodePlan binding publish their compiled blocks keyed by
-//     the plan's content identity, and other CPUs booted from the same image
-//     import a private copy instead of re-walking the instruction stream.
 //
-// Correctness contract (the differential suite enforces all of it, tier on
-// vs off):
+// Correctness contract (the differential suite enforces all of it, kFast vs
+// kReference):
 //   - Blocks are keyed to (segment, write generation). Any byte or
 //     permission mutation — SMC, a W^X flip, a debugger poke, a snapshot
 //     restore that copied pages back — moves the generation and the block
@@ -56,12 +52,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "src/isa/isa.hpp"
@@ -81,13 +73,12 @@ struct SbOp {
   std::uint32_t cov_host = 0;  // CoverageLocation(host-fn pc) for call-host ops
   // Call-host ops: the host-function map node this call dispatches
   // (pointer-stable; really a const std::pair<std::string, Cpu::HostFn>*,
-  // typed void* to keep this header free of cpu.hpp). Always nullptr in
-  // SharedSuperblockRegistry canonicals — importers re-resolve locally.
+  // typed void* to keep this header free of cpu.hpp).
   const void* host = nullptr;
   // Block-link slots on direct-branch terminators: the compiled successor
   // for the taken / fall-through target. Per-CPU scratch (hence mutable on a
   // const op): links point only into the same SegBlocks map, so the edge can
-  // never outlive either endpoint. Never populated on registry canonicals.
+  // never outlive either endpoint.
   mutable const Superblock* link_taken = nullptr;
   mutable const Superblock* link_fall = nullptr;
 };
@@ -157,8 +148,8 @@ class SuperblockCache {
     return segs_.back();
   }
 
-  /// Drops everything (host-fn registration, breakpoint changes, tier
-  /// toggles — events that can invalidate blocks without a generation bump).
+  /// Drops everything (host-fn registration, breakpoint changes — events
+  /// that can invalidate blocks without a generation bump).
   void Flush() noexcept {
     segs_.clear();
     slots_.fill(Slot{});
@@ -166,88 +157,17 @@ class SuperblockCache {
 
   // Tier counters, batched per-CPU like ObsBatch and flushed to the obs
   // registry as vm.superblock.{compiles,hits,fallbacks,invalidations,
-  // links,resumes,imports}.
+  // links,resumes}.
   std::uint64_t compiles = 0;       // usable blocks built
   std::uint64_t hits = 0;           // blocks dispatched
   std::uint64_t fallbacks = 0;      // entries that deferred to the interpreter
   std::uint64_t invalidations = 0;  // generation bumps that dropped blocks
   std::uint64_t links = 0;          // block-to-block link transitions taken
   std::uint64_t resumes = 0;        // in-block continuations after host fn/syscall
-  std::uint64_t imports = 0;        // blocks copied from the shared registry
 
  private:
   std::vector<SegBlocks> segs_;  // a handful of segments per address space
   std::array<Slot, kSlots> slots_{};
-};
-
-/// Process-wide compiled-block store, mirroring DecodePlanRegistry: one
-/// canonical copy of each compiled block per executable-segment *content*,
-/// so N fuzz workers / fleet victim lanes booted from the same image walk
-/// and pick-handler each hot region exactly once. Keyed by the bound
-/// DecodePlan's identity (arch, base, size, content hash) plus the block's
-/// entry pc — a diversity-reshuffled boot has different bytes (and usually a
-/// different base), so it can never be served another layout's block.
-///
-/// Canonicals are scrubbed before publication: link slots and host-function
-/// pointers are per-CPU state and are nulled; handler addresses are
-/// function-local statics inside Cpu::ExecSuperblock, identical across every
-/// CPU in the process, and coverage locations are a pure function of pc — so
-/// the remaining payload is content-deterministic. Importers copy the
-/// canonical into their private SegBlocks map (links re-grow locally) after
-/// re-validating it against local state: no interior pc may be shadowed by a
-/// local host function or breakpoint, and call-host ops must re-resolve
-/// their trampoline from the local host-fn table.
-///
-/// Thread-safe like DecodePlanRegistry: lookups take a shared (reader) lock,
-/// builds happen outside any lock, and when two workers race to publish the
-/// same block the first insert wins and the loser's copy is dropped.
-class SharedSuperblockRegistry {
- public:
-  static SharedSuperblockRegistry& Instance();
-
-  /// Canonical block for (image identity, entry), or nullptr when none has
-  /// been published yet.
-  [[nodiscard]] std::shared_ptr<const Superblock> Lookup(
-      isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-      std::uint64_t content_hash, mem::GuestAddr entry) const;
-
-  /// Publishes a scrubbed canonical (first insert wins; later publishes of
-  /// the same key are dropped — identical content compiles identically).
-  void Publish(isa::Arch arch, mem::GuestAddr base, std::uint32_t size,
-               std::uint64_t content_hash, mem::GuestAddr entry,
-               std::shared_ptr<const Superblock> block);
-
-  struct Stats {
-    std::uint64_t publishes = 0;  // canonicals inserted (cold compiles)
-    std::uint64_t imports = 0;    // lookups served from a canonical
-    std::size_t live_blocks = 0;
-  };
-  [[nodiscard]] Stats GetStats() const;
-
-  /// Drops every canonical (tests; importers own private copies).
-  void Clear();
-
- private:
-  struct Key {
-    std::uint8_t arch = 0;
-    mem::GuestAddr base = 0;
-    std::uint32_t size = 0;
-    std::uint64_t hash = 0;
-    mem::GuestAddr entry = 0;
-    auto operator<=>(const Key&) const = default;
-  };
-
-  /// The diversity lab boots hundreds of unique layouts, each with many hot
-  /// blocks; cap the registry and evict oldest-inserted so it cannot grow
-  /// without bound (importers hold private copies, so eviction only costs a
-  /// recompile).
-  static constexpr std::size_t kMaxBlocks = 4096;
-
-  mutable std::shared_mutex mu_;
-  std::map<Key, std::shared_ptr<const Superblock>> blocks_;
-  std::deque<Key> insertion_order_;
-  std::atomic<std::uint64_t> publishes_{0};
-  mutable std::atomic<std::uint64_t> imports_{0};  // counted in const Lookup
 };
 
 }  // namespace connlab::vm

@@ -1,16 +1,18 @@
-// Differential correctness gate for the VM hot-path optimisations: the
-// predecode cache, snapshot fast reboots, shared decode plans and
-// dirty-page-only restores must be pure speedups.
+// Differential correctness gate for the VM fast path and the snapshot fast
+// reboots: vm::ExecMode::kFast (predecode cache, shared decode plans, linked
+// superblocks) and snapshot / dirty-page-only restores must be pure
+// speedups.
 //
-// Every scenario below runs twice — once in fast mode (predecode cache on,
-// snapshot reboots on) and once in legacy mode (byte-copying fetch/decode,
-// full loader re-Boots) — and the observable outcomes must be identical:
-// stop reasons, failure details, retired-step counts, events, crash-bucket
-// sets and coverage digests. Any divergence means the cache served a stale
-// decode or a restore differs from a real boot, and fails the build.
+// Every scenario below runs under kReference — the byte-copying oracle
+// interpreter — and under kFast, crossed with the restore axis, and the
+// observable outcomes must be identical: stop reasons, failure details,
+// retired-step counts, events, crash-bucket sets and coverage digests. Any
+// divergence means a cache served a stale decode, a compiled block ran a
+// stale op, or a restore differs from a real boot, and fails the build.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/attack/matrix.hpp"
@@ -18,35 +20,16 @@
 #include "src/fuzz/fuzzer.hpp"
 #include "src/loader/snapshot.hpp"
 #include "src/vm/cpu.hpp"
-#include "src/vm/superblock.hpp"
 
 namespace connlab {
 namespace {
 
-/// Scoped predecode default: constructors deep inside Boot read the
-/// process-wide default, so the differential runs toggle it around whole
-/// scenarios (single-threaded — these tests never fork workers in legacy
-/// mode and fast mode at the same time).
-class PredecodeDefault {
- public:
-  explicit PredecodeDefault(bool enabled) {
-    vm::Cpu::set_predecode_default(enabled);
-  }
-  ~PredecodeDefault() { vm::Cpu::set_predecode_default(true); }
-};
+using vm::ExecMode;
 
-/// Same shape for the shared decode plans (Boot reads the default when
-/// deciding whether to bind plans to the freshly-loaded text images).
-class SharedPlansDefault {
- public:
-  explicit SharedPlansDefault(bool enabled) {
-    vm::Cpu::set_shared_plans_default(enabled);
-  }
-  ~SharedPlansDefault() { vm::Cpu::set_shared_plans_default(true); }
-};
-
-/// And for dirty-page-only snapshot restores (RestoreSnapshot reads the
-/// default whenever the caller passes RestoreMode::kDefault).
+/// Scoped dirty-page-only restore default (RestoreSnapshot reads it
+/// whenever the caller passes RestoreMode::kDefault). The only
+/// process-global switch left on the VM path; these tests flip it around
+/// whole single-threaded scenarios.
 class DirtyRestoreGuard {
  public:
   explicit DirtyRestoreGuard(bool enabled) {
@@ -55,72 +38,38 @@ class DirtyRestoreGuard {
   ~DirtyRestoreGuard() { loader::SetDirtyRestoreDefault(true); }
 };
 
-/// And for the superblock threaded-code tier (fresh CPUs read the default
-/// at construction, so whole boots flip with it).
-class SuperblockDefault {
- public:
-  explicit SuperblockDefault(bool enabled) {
-    vm::Cpu::set_superblocks_default(enabled);
-  }
-  ~SuperblockDefault() { vm::Cpu::set_superblocks_default(true); }
-};
-
-/// And for block linking / continuation within the tier.
-class BlockLinksDefault {
- public:
-  explicit BlockLinksDefault(bool enabled) {
-    vm::Cpu::set_block_links_default(enabled);
-  }
-  ~BlockLinksDefault() { vm::Cpu::set_block_links_default(true); }
-};
-
-/// And for the shared per-image block registry. The registry itself is
-/// cleared on entry and exit so every combo starts cold — imports must be
-/// earned under the combo being tested, never inherited from the previous
-/// one.
-class SharedSuperblocksDefault {
- public:
-  explicit SharedSuperblocksDefault(bool enabled) {
-    vm::Cpu::set_shared_superblocks_default(enabled);
-    vm::SharedSuperblockRegistry::Instance().Clear();
-  }
-  ~SharedSuperblocksDefault() {
-    vm::Cpu::set_shared_superblocks_default(true);
-    vm::SharedSuperblockRegistry::Instance().Clear();
-  }
-};
-
-TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
-  std::vector<attack::AttackResult> fast;
-  std::vector<attack::AttackResult> legacy;
-  {
-    PredecodeDefault mode(true);
-    fast = attack::RunSixAttackMatrix(4242).value();
-  }
-  {
-    PredecodeDefault mode(false);
-    legacy = attack::RunSixAttackMatrix(4242).value();
-  }
-  ASSERT_EQ(fast.size(), legacy.size());
-  ASSERT_FALSE(fast.empty());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    SCOPED_TRACE("row " + std::to_string(i) + ": " + fast[i].RowLabel());
-    EXPECT_EQ(fast[i].kind, legacy[i].kind);
-    EXPECT_EQ(fast[i].shell, legacy[i].shell);
-    EXPECT_EQ(fast[i].crash, legacy[i].crash);
-    EXPECT_EQ(fast[i].exploit_available, legacy[i].exploit_available);
-    EXPECT_EQ(fast[i].failure, legacy[i].failure);
-    EXPECT_EQ(fast[i].detail, legacy[i].detail);
-    EXPECT_EQ(fast[i].guest_steps, legacy[i].guest_steps);
-    EXPECT_EQ(fast[i].payload_bytes, legacy[i].payload_bytes);
-    EXPECT_EQ(fast[i].response_bytes, legacy[i].response_bytes);
+/// Every observable field of every matrix row must match the baseline's.
+void ExpectSameRows(const std::vector<attack::AttackResult>& rows,
+                    const std::vector<attack::AttackResult>& baseline,
+                    const std::string& label) {
+  ASSERT_EQ(rows.size(), baseline.size()) << label;
+  ASSERT_FALSE(baseline.empty()) << label;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(label + ", row " + std::to_string(i) + ": " +
+                 rows[i].RowLabel());
+    EXPECT_EQ(rows[i].kind, baseline[i].kind);
+    EXPECT_EQ(rows[i].shell, baseline[i].shell);
+    EXPECT_EQ(rows[i].crash, baseline[i].crash);
+    EXPECT_EQ(rows[i].exploit_available, baseline[i].exploit_available);
+    EXPECT_EQ(rows[i].failure, baseline[i].failure);
+    EXPECT_EQ(rows[i].detail, baseline[i].detail);
+    EXPECT_EQ(rows[i].guest_steps, baseline[i].guest_steps);
+    EXPECT_EQ(rows[i].payload_bytes, baseline[i].payload_bytes);
+    EXPECT_EQ(rows[i].response_bytes, baseline[i].response_bytes);
   }
 }
 
-fuzz::FuzzConfig ReplayConfig(bool fast_reset) {
+TEST(Differential, SixAttackMatrixIdenticalAcrossModes) {
+  ExpectSameRows(attack::RunSixAttackMatrix(4242, ExecMode::kFast).value(),
+                 attack::RunSixAttackMatrix(4242, ExecMode::kReference).value(),
+                 "fast vs reference");
+}
+
+fuzz::FuzzConfig ReplayConfig(ExecMode mode, bool fast_reset) {
   fuzz::FuzzConfig config;
   config.target.kind = fuzz::TargetKind::kDnsproxy;
   config.target.fast_reset = fast_reset;
+  config.target.exec_mode = mode;
   config.seed = 42;
   config.max_execs = 3000;
   config.workers = 1;
@@ -136,9 +85,16 @@ struct ReplayOutcome {
   std::size_t corpus_size = 0;
 };
 
-ReplayOutcome RunReplay(bool predecode, bool fast_reset) {
-  PredecodeDefault mode(predecode);
-  auto report = fuzz::Fuzzer(ReplayConfig(fast_reset)).Run();
+void ExpectSameOutcome(const ReplayOutcome& a, const ReplayOutcome& b) {
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.coverage_cells, b.coverage_cells);
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_EQ(a.crashing_execs, b.crashing_execs);
+  EXPECT_EQ(a.corpus_size, b.corpus_size);
+}
+
+ReplayOutcome OutcomeOf(const fuzz::FuzzConfig& config) {
+  auto report = fuzz::Fuzzer(config).Run();
   EXPECT_TRUE(report.ok());
   ReplayOutcome out;
   if (!report.ok()) return out;
@@ -150,19 +106,19 @@ ReplayOutcome RunReplay(bool predecode, bool fast_reset) {
   return out;
 }
 
-TEST(Differential, FuzzReplayIdenticalAcrossModes) {
-  // Full fast mode vs full legacy mode, plus each optimisation alone, so a
-  // regression pinpoints which half broke.
-  const ReplayOutcome fast = RunReplay(true, true);
-  const ReplayOutcome cache_only = RunReplay(true, false);
-  const ReplayOutcome snapshot_only = RunReplay(false, true);
-  const ReplayOutcome legacy = RunReplay(false, false);
+ReplayOutcome RunReplay(ExecMode mode, bool fast_reset) {
+  return OutcomeOf(ReplayConfig(mode, fast_reset));
+}
 
-  EXPECT_EQ(fast.digest, legacy.digest);
-  EXPECT_EQ(fast.coverage_cells, legacy.coverage_cells);
-  EXPECT_EQ(fast.buckets, legacy.buckets);
-  EXPECT_EQ(fast.crashing_execs, legacy.crashing_execs);
-  EXPECT_EQ(fast.corpus_size, legacy.corpus_size);
+TEST(Differential, FuzzReplayIdenticalAcrossModes) {
+  // Full fast engine vs full legacy engine, plus each half alone, so a
+  // regression pinpoints which half broke.
+  const ReplayOutcome fast = RunReplay(ExecMode::kFast, true);
+  const ReplayOutcome cache_only = RunReplay(ExecMode::kFast, false);
+  const ReplayOutcome snapshot_only = RunReplay(ExecMode::kReference, true);
+  const ReplayOutcome legacy = RunReplay(ExecMode::kReference, false);
+
+  ExpectSameOutcome(fast, legacy);
 
   EXPECT_EQ(cache_only.digest, legacy.digest);
   EXPECT_EQ(snapshot_only.digest, legacy.digest);
@@ -170,82 +126,10 @@ TEST(Differential, FuzzReplayIdenticalAcrossModes) {
   EXPECT_EQ(snapshot_only.buckets, legacy.buckets);
 }
 
-// --- PR 4 features: shared decode plans × dirty-page restores --------------
-
-struct FeatureCombo {
-  bool shared_plans;
-  bool dirty_restore;
-  std::string Label() const {
-    return std::string("plans=") + (shared_plans ? "on" : "off") +
-           " dirty_restore=" + (dirty_restore ? "on" : "off");
-  }
-};
-
-constexpr FeatureCombo kCombos[] = {
-    {true, true}, {true, false}, {false, true}, {false, false}};
-
-/// The six-attack matrix — every protection level × technique outcome from
-/// the paper — must be bit-for-bit identical in all four on/off combos of
-/// the two new fast paths.
-TEST(Differential, SixAttackMatrixIdenticalAcrossPlanAndRestoreCombos) {
-  std::vector<attack::AttackResult> baseline;
-  std::string baseline_label;
-  for (const FeatureCombo& combo : kCombos) {
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    std::vector<attack::AttackResult> rows =
-        attack::RunSixAttackMatrix(4242).value();
-    if (baseline.empty()) {
-      baseline = std::move(rows);
-      baseline_label = combo.Label();
-      ASSERT_FALSE(baseline.empty());
-      continue;
-    }
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(combo.Label() + " vs " + baseline_label + ", row " +
-                   std::to_string(i) + ": " + rows[i].RowLabel());
-      EXPECT_EQ(rows[i].kind, baseline[i].kind);
-      EXPECT_EQ(rows[i].shell, baseline[i].shell);
-      EXPECT_EQ(rows[i].crash, baseline[i].crash);
-      EXPECT_EQ(rows[i].exploit_available, baseline[i].exploit_available);
-      EXPECT_EQ(rows[i].failure, baseline[i].failure);
-      EXPECT_EQ(rows[i].detail, baseline[i].detail);
-      EXPECT_EQ(rows[i].guest_steps, baseline[i].guest_steps);
-      EXPECT_EQ(rows[i].payload_bytes, baseline[i].payload_bytes);
-      EXPECT_EQ(rows[i].response_bytes, baseline[i].response_bytes);
-    }
-  }
-}
-
-/// Fixed-seed fuzz campaign (snapshot reboots on, so dirty-only restores
-/// actually engage): coverage digest, buckets and corpus must not move in
-/// any of the four combos.
-TEST(Differential, FuzzReplayIdenticalAcrossPlanAndRestoreCombos) {
-  ReplayOutcome baseline{};
-  bool have_baseline = false;
-  for (const FeatureCombo& combo : kCombos) {
-    SharedPlansDefault plans(combo.shared_plans);
-    DirtyRestoreGuard dirty(combo.dirty_restore);
-    const ReplayOutcome out = RunReplay(true, true);
-    if (!have_baseline) {
-      baseline = out;
-      have_baseline = true;
-      continue;
-    }
-    SCOPED_TRACE(combo.Label());
-    EXPECT_EQ(out.digest, baseline.digest);
-    EXPECT_EQ(out.coverage_cells, baseline.coverage_cells);
-    EXPECT_EQ(out.buckets, baseline.buckets);
-    EXPECT_EQ(out.crashing_execs, baseline.crashing_execs);
-    EXPECT_EQ(out.corpus_size, baseline.corpus_size);
-  }
-}
-
-/// Multi-worker determinism with both features on: worker count must not
-/// leak into the merged outcome, and two runs of the same config agree.
+/// Multi-worker determinism on the default fast engine (workers share
+/// decode plans): two runs of the same config agree.
 TEST(Differential, MultiWorkerSharedPlanCampaignIsDeterministic) {
-  fuzz::FuzzConfig config = ReplayConfig(true);
+  fuzz::FuzzConfig config = ReplayConfig(ExecMode::kFast, true);
   config.workers = 3;
   auto first = fuzz::Fuzzer(config).Run();
   auto second = fuzz::Fuzzer(config).Run();
@@ -260,21 +144,12 @@ TEST(Differential, MultiWorkerSharedPlanCampaignIsDeterministic) {
 
 // --- PR 8: epoch-batched cross-worker sync ---------------------------------
 
-ReplayOutcome RunMultiWorkerReplay(bool predecode, std::uint64_t sync) {
-  PredecodeDefault mode(predecode);
-  fuzz::FuzzConfig config = ReplayConfig(/*fast_reset=*/predecode);
+ReplayOutcome RunMultiWorkerReplay(ExecMode mode, std::uint64_t sync) {
+  fuzz::FuzzConfig config =
+      ReplayConfig(mode, /*fast_reset=*/mode == ExecMode::kFast);
   config.workers = 3;
   config.sync_interval = sync;
-  auto report = fuzz::Fuzzer(config).Run();
-  EXPECT_TRUE(report.ok());
-  ReplayOutcome out;
-  if (!report.ok()) return out;
-  out.digest = report.value().stats.coverage_digest;
-  out.coverage_cells = report.value().stats.coverage_cells;
-  out.buckets = report.value().triage.buckets().size();
-  out.crashing_execs = report.value().stats.crashing_execs;
-  out.corpus_size = report.value().stats.corpus_size;
-  return out;
+  return OutcomeOf(config);
 }
 
 /// The differential gate must keep holding once workers exchange corpus
@@ -285,157 +160,119 @@ ReplayOutcome RunMultiWorkerReplay(bool predecode, std::uint64_t sync) {
 /// setting across VM modes, never across sync settings.
 TEST(Differential, EpochSyncedReplayIdenticalAcrossVmModes) {
   // Three workers x 1000 execs, an exchange every 400: epochs fire mid-run.
-  const ReplayOutcome fast_synced = RunMultiWorkerReplay(true, 400);
-  const ReplayOutcome legacy_synced = RunMultiWorkerReplay(false, 400);
-  EXPECT_EQ(fast_synced.digest, legacy_synced.digest);
-  EXPECT_EQ(fast_synced.coverage_cells, legacy_synced.coverage_cells);
-  EXPECT_EQ(fast_synced.buckets, legacy_synced.buckets);
-  EXPECT_EQ(fast_synced.crashing_execs, legacy_synced.crashing_execs);
-  EXPECT_EQ(fast_synced.corpus_size, legacy_synced.corpus_size);
+  const ReplayOutcome fast_synced = RunMultiWorkerReplay(ExecMode::kFast, 400);
+  const ReplayOutcome legacy_synced =
+      RunMultiWorkerReplay(ExecMode::kReference, 400);
+  ExpectSameOutcome(fast_synced, legacy_synced);
 
-  const ReplayOutcome fast_solo = RunMultiWorkerReplay(true, 0);
-  const ReplayOutcome legacy_solo = RunMultiWorkerReplay(false, 0);
-  EXPECT_EQ(fast_solo.digest, legacy_solo.digest);
-  EXPECT_EQ(fast_solo.coverage_cells, legacy_solo.coverage_cells);
-  EXPECT_EQ(fast_solo.buckets, legacy_solo.buckets);
-  EXPECT_EQ(fast_solo.crashing_execs, legacy_solo.crashing_execs);
-  EXPECT_EQ(fast_solo.corpus_size, legacy_solo.corpus_size);
+  const ReplayOutcome fast_solo = RunMultiWorkerReplay(ExecMode::kFast, 0);
+  const ReplayOutcome legacy_solo =
+      RunMultiWorkerReplay(ExecMode::kReference, 0);
+  ExpectSameOutcome(fast_solo, legacy_solo);
 }
 
-// --- PR 9: superblock threaded-code tier -----------------------------------
+// --- Execution mode × restore mode -----------------------------------------
 
-struct TierCombo {
-  bool superblocks;
-  bool block_links;
-  bool shared_blocks;
-  bool shared_plans;
+struct Combo {
+  ExecMode mode;
   bool dirty_restore;
   std::string Label() const {
-    return std::string("superblocks=") + (superblocks ? "on" : "off") +
-           " links=" + (block_links ? "on" : "off") +
-           " shared_blocks=" + (shared_blocks ? "on" : "off") +
-           " plans=" + (shared_plans ? "on" : "off") +
+    return std::string(vm::ExecModeName(mode)) +
            " dirty_restore=" + (dirty_restore ? "on" : "off");
   }
 };
 
-// The tier ladder crossed with the block-link and shared-block-cache axes
-// (PR 10), then with the plan/restore axes. With superblocks off the link
-// and sharing knobs are inert, so those rows only vary plans/restore —
-// twelve combos cover every meaningful interaction without running the
-// full 2^5.
-constexpr TierCombo kTierCombos[] = {
-    // Linked tier (everything on) across plans × restore.
-    {true, true, true, true, true},
-    {true, true, true, true, false},
-    {true, true, true, false, true},
-    {true, true, true, false, false},
-    // Links on, private block compilation.
-    {true, true, false, true, true},
-    // Bare superblock tier (links off — sharing is inert without them).
-    {true, false, true, true, true},
-    {true, false, false, true, true},
-    {true, false, false, false, false},
-    // Interpreter baseline rows.
-    {false, true, true, true, true},
-    {false, true, true, true, false},
-    {false, true, true, false, true},
-    {false, true, true, false, false}};
+// The whole matrix: the oracle and the fast path, each with dirty-page-only
+// and full-copy snapshot restores.
+constexpr Combo kCombos[] = {{ExecMode::kFast, true},
+                             {ExecMode::kFast, false},
+                             {ExecMode::kReference, true},
+                             {ExecMode::kReference, false}};
 
-/// The full attack matrix must be bit-for-bit identical with the superblock
-/// tier on vs off, crossed with the decode-plan and dirty-restore axes — a
-/// compiled block serving one stale op anywhere in the exploit chains (SMC
-/// shellcode, W^X flips, canary/CFI traps, diversity reshuffles) moves a
-/// row and fails this.
+/// The full attack matrix must be bit-for-bit identical in every combo — a
+/// compiled block or cached decode serving one stale op anywhere in the
+/// exploit chains (SMC shellcode, W^X flips, canary/CFI traps, diversity
+/// reshuffles), or a restore that differs from a fresh boot, moves a row and
+/// fails this.
 TEST(Differential, SixAttackMatrixIdenticalAcrossSuperblockCombos) {
   std::vector<attack::AttackResult> baseline;
   std::string baseline_label;
-  for (const TierCombo& combo : kTierCombos) {
-    SuperblockDefault tier(combo.superblocks);
-    BlockLinksDefault links(combo.block_links);
-    SharedSuperblocksDefault shared_blocks(combo.shared_blocks);
-    SharedPlansDefault plans(combo.shared_plans);
+  for (const Combo& combo : kCombos) {
     DirtyRestoreGuard dirty(combo.dirty_restore);
     std::vector<attack::AttackResult> rows =
-        attack::RunSixAttackMatrix(4242).value();
+        attack::RunSixAttackMatrix(4242, combo.mode).value();
     if (baseline.empty()) {
       baseline = std::move(rows);
       baseline_label = combo.Label();
       ASSERT_FALSE(baseline.empty());
       continue;
     }
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(combo.Label() + " vs " + baseline_label + ", row " +
-                   std::to_string(i) + ": " + rows[i].RowLabel());
-      EXPECT_EQ(rows[i].kind, baseline[i].kind);
-      EXPECT_EQ(rows[i].shell, baseline[i].shell);
-      EXPECT_EQ(rows[i].crash, baseline[i].crash);
-      EXPECT_EQ(rows[i].exploit_available, baseline[i].exploit_available);
-      EXPECT_EQ(rows[i].failure, baseline[i].failure);
-      EXPECT_EQ(rows[i].detail, baseline[i].detail);
-      EXPECT_EQ(rows[i].guest_steps, baseline[i].guest_steps);
-      EXPECT_EQ(rows[i].payload_bytes, baseline[i].payload_bytes);
-      EXPECT_EQ(rows[i].response_bytes, baseline[i].response_bytes);
-    }
+    ExpectSameRows(rows, baseline, combo.Label() + " vs " + baseline_label);
   }
 }
 
-/// Fixed-seed fuzz replay across the same eight combos: coverage digest,
-/// buckets, crash counts and corpus are invariants of the campaign, not of
-/// the execution tier. Coverage is recorded per retired instruction inside
-/// compiled blocks, so even the AFL edge stream must not move.
+/// Fixed-seed fuzz replay (snapshot reboots on, so dirty-only restores
+/// actually engage) across the same combos: coverage digest, buckets, crash
+/// counts and corpus are invariants of the campaign, not of the engine.
+/// Coverage is recorded per retired instruction inside compiled blocks, so
+/// even the AFL edge stream must not move.
 TEST(Differential, FuzzReplayIdenticalAcrossSuperblockCombos) {
   ReplayOutcome baseline{};
   bool have_baseline = false;
-  for (const TierCombo& combo : kTierCombos) {
-    SuperblockDefault tier(combo.superblocks);
-    BlockLinksDefault links(combo.block_links);
-    SharedSuperblocksDefault shared_blocks(combo.shared_blocks);
-    SharedPlansDefault plans(combo.shared_plans);
+  for (const Combo& combo : kCombos) {
     DirtyRestoreGuard dirty(combo.dirty_restore);
-    const ReplayOutcome out = RunReplay(true, true);
+    const ReplayOutcome out = RunReplay(combo.mode, true);
     if (!have_baseline) {
       baseline = out;
       have_baseline = true;
       continue;
     }
     SCOPED_TRACE(combo.Label());
-    EXPECT_EQ(out.digest, baseline.digest);
-    EXPECT_EQ(out.coverage_cells, baseline.coverage_cells);
-    EXPECT_EQ(out.buckets, baseline.buckets);
-    EXPECT_EQ(out.crashing_execs, baseline.crashing_execs);
-    EXPECT_EQ(out.corpus_size, baseline.corpus_size);
+    ExpectSameOutcome(out, baseline);
   }
 }
 
-/// The PR 8 pinned eight-worker epoch-synced campaign, replayed up the tier
-/// ladder — interpreter, bare superblocks, linked, linked + shared block
-/// cache: every mode must land on the very digests committed before the
+/// Execution mode is per CPU, not per process: a kReference and a kFast
+/// replay running at the same time on two threads each land exactly where
+/// they land alone. Tier state shared process-wide that each run sets for
+/// its own mode is a data race here, which the tsan job (it runs this
+/// suite) reports.
+TEST(Differential, ConcurrentReferenceAndFastReplaysMatchSerial) {
+  const ReplayOutcome serial_ref = RunReplay(ExecMode::kReference, true);
+  const ReplayOutcome serial_fast = RunReplay(ExecMode::kFast, true);
+  ReplayOutcome concurrent_ref;
+  ReplayOutcome concurrent_fast;
+  std::thread ref_thread(
+      [&] { concurrent_ref = RunReplay(ExecMode::kReference, true); });
+  std::thread fast_thread(
+      [&] { concurrent_fast = RunReplay(ExecMode::kFast, true); });
+  ref_thread.join();
+  fast_thread.join();
+  {
+    SCOPED_TRACE("reference");
+    ExpectSameOutcome(concurrent_ref, serial_ref);
+  }
+  {
+    SCOPED_TRACE("fast");
+    ExpectSameOutcome(concurrent_fast, serial_fast);
+  }
+  ExpectSameOutcome(serial_ref, serial_fast);
+}
+
+/// The pinned eight-worker epoch-synced campaign under both execution
+/// modes: each must land on the very digests committed before the
 /// superblock tier existed (tests/test_fuzz.cpp pins the same constants).
-/// This is the cross-PR anchor — the tiers changed nothing observable, even
-/// under worker-parallel execution with mid-campaign corpus exchanges and,
-/// in the shared-cache mode, workers racing to publish/import compiled
-/// blocks through the process-global registry.
+/// This is the cross-change anchor — the fast path changed nothing
+/// observable, even under worker-parallel execution with mid-campaign
+/// corpus exchanges.
 TEST(Differential, EightWorkerSyncedDigestUnmovedByTierModes) {
   constexpr std::uint64_t kCoverageDigest = 0xd8788bc796ab373cULL;
   constexpr std::uint64_t kCorpusDigest = 0x9c372e9e5056301aULL;
-  struct TierMode {
-    bool superblocks, links, shared;
-    const char* label;
-  };
-  constexpr TierMode kModes[] = {
-      {false, false, false, "interpreter"},
-      {true, false, false, "bare superblocks"},
-      {true, true, false, "linked"},
-      {true, true, true, "linked + shared cache"}};
-  for (const TierMode& tier_mode : kModes) {
-    SCOPED_TRACE(tier_mode.label);
-    SuperblockDefault tier(tier_mode.superblocks);
-    BlockLinksDefault links(tier_mode.links);
-    SharedSuperblocksDefault shared_blocks(tier_mode.shared);
+  for (const ExecMode mode : {ExecMode::kReference, ExecMode::kFast}) {
+    SCOPED_TRACE(vm::ExecModeName(mode));
     fuzz::FuzzConfig config;
     config.target.kind = fuzz::TargetKind::kDnsproxy;
+    config.target.exec_mode = mode;
     config.seed = 42;
     config.max_execs = 8000;
     config.workers = 8;

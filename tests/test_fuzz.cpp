@@ -101,12 +101,13 @@ void ExpectTouchedMatchesCells(const CoverageMap& map) {
   EXPECT_EQ(map.CountNonZero(), nonzero.size());
 }
 
-// Real executions, both tiers, seeds plus a fixed mutant stream, all
-// accumulated into one map without clearing so the hot loop edges saturate.
-CoverageMap AccumulateRealExecs(TargetKind kind, bool superblocks) {
+// Real executions in both execution modes, seeds plus a fixed mutant stream,
+// all accumulated into one map without clearing so the hot loop edges
+// saturate.
+CoverageMap AccumulateRealExecs(TargetKind kind, vm::ExecMode mode) {
   TargetConfig config;
   config.kind = kind;
-  config.superblocks = superblocks;
+  config.exec_mode = mode;
   auto target = MakeTarget(config);
   EXPECT_TRUE(target.ok()) << target.status().ToString();
   CoverageMap map;
@@ -126,10 +127,11 @@ CoverageMap AccumulateRealExecs(TargetKind kind, bool superblocks) {
 
 TEST(Coverage, TouchedListMatchesCellsAfterRealExecs) {
   for (const TargetKind kind : {TargetKind::kDnsproxy, TargetKind::kCamstored}) {
-    for (const bool superblocks : {true, false}) {
+    for (const vm::ExecMode mode :
+         {vm::ExecMode::kFast, vm::ExecMode::kReference}) {
       SCOPED_TRACE(std::string(TargetKindName(kind)) +
-                   (superblocks ? " superblocks" : " interpreter"));
-      const CoverageMap map = AccumulateRealExecs(kind, superblocks);
+                   " " + std::string(vm::ExecModeName(mode)));
+      const CoverageMap map = AccumulateRealExecs(kind, mode);
       EXPECT_GT(map.CountNonZero(), 0u);
       EXPECT_NE(std::find(map.data(), map.data() + CoverageMap::kSize, 0xFF),
                 map.data() + CoverageMap::kSize)
@@ -143,10 +145,11 @@ TEST(Coverage, TouchedListMatchesCellsAfterRealExecs) {
 // would leave a non-zero cell behind here.
 TEST(Coverage, ClearAfterRealExecsZeroesEveryCell) {
   for (const TargetKind kind : {TargetKind::kDnsproxy, TargetKind::kCamstored}) {
-    for (const bool superblocks : {true, false}) {
+    for (const vm::ExecMode mode :
+         {vm::ExecMode::kFast, vm::ExecMode::kReference}) {
       SCOPED_TRACE(std::string(TargetKindName(kind)) +
-                   (superblocks ? " superblocks" : " interpreter"));
-      CoverageMap map = AccumulateRealExecs(kind, superblocks);
+                   " " + std::string(vm::ExecModeName(mode)));
+      CoverageMap map = AccumulateRealExecs(kind, mode);
       map.Clear();
       EXPECT_TRUE(map.touched().empty());
       EXPECT_EQ(std::count(map.data(), map.data() + CoverageMap::kSize, 0),

@@ -480,7 +480,7 @@ TEST(Snapshot, WxFlipRolledBackByRestoreInBothModes) {
 TEST(Snapshot, SuperblockTierSurvivesWxFlipAndRestoreInBothModes) {
   for (const RestoreMode mode : {RestoreMode::kFull, RestoreMode::kDirtyOnly}) {
     auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 7).value();
-    ASSERT_TRUE(sys->cpu->superblocks_enabled());
+    ASSERT_EQ(sys->cpu->exec_mode(), vm::ExecMode::kFast);
     const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
     const Snapshot snap = TakeSnapshot(*sys);
 
@@ -527,7 +527,7 @@ TEST(Snapshot, SuperblockTierSurvivesWxFlipAndRestoreInBothModes) {
 TEST(Snapshot, RestoreDropsStaleBlockLinksInBothModes) {
   for (const RestoreMode mode : {RestoreMode::kFull, RestoreMode::kDirtyOnly}) {
     auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 7).value();
-    ASSERT_TRUE(sys->cpu->block_links_enabled());
+    ASSERT_EQ(sys->cpu->exec_mode(), vm::ExecMode::kFast);
     const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
     const Snapshot snap = TakeSnapshot(*sys);
 
@@ -584,6 +584,15 @@ TEST(Boot, BindsSharedPlansForImmutableTextOnly) {
   auto sys2 = Boot(Arch::kVX86, ProtectionConfig::None(), 5).value();
   EXPECT_EQ(sys2->cpu->BoundPlan(sys2->space.FindSegmentByName(".text")),
             sys->cpu->BoundPlan(text));
+
+  // The reference interpreter decodes every instruction itself: a
+  // kReference boot binds nothing.
+  auto ref = Boot(Arch::kVX86, ProtectionConfig::None(), 5,
+                  vm::ExecMode::kReference)
+                 .value();
+  EXPECT_EQ(ref->cpu->exec_mode(), vm::ExecMode::kReference);
+  EXPECT_EQ(ref->cpu->BoundPlan(ref->space.FindSegmentByName(".text")),
+            nullptr);
 }
 
 /// Diversity-reshuffled boots (per-boot function shuffle) must never be

@@ -12,7 +12,7 @@
 
 #include "src/fuzz/fuzzer.hpp"
 #include "src/obs/obs.hpp"
-#include "src/vm/superblock.hpp"
+#include "src/vm/cpu.hpp"
 
 namespace connlab::obs {
 namespace {
@@ -262,48 +262,33 @@ TEST(ObsCampaign, FixedSeedCampaignMetricsAreExact) {
   EXPECT_GE(m.counters.at("loader.snapshots_taken"), 1u);
 }
 
+// Every CPU compiles its own blocks, so block compiles are as much a
+// function of the seed as block hits.
 TEST(ObsMetrics, CounterKindsAreDeclared) {
   EXPECT_EQ(CounterKind("fuzz.execs"), MetricKind::kSeeded);
   EXPECT_EQ(CounterKind("vm.superblock.hits"), MetricKind::kSeeded);
-  EXPECT_EQ(CounterKind("vm.superblock.compiles"),
-            MetricKind::kSchedulingDependent);
-  EXPECT_EQ(CounterKind("vm.superblock.imports"),
-            MetricKind::kSchedulingDependent);
+  EXPECT_EQ(CounterKind("vm.superblock.compiles"), MetricKind::kSeeded);
 }
 
-// Two identically-seeded campaigns scrape identical counter deltas: every
-// seeded counter exactly; the scheduling-dependent compiles/imports split
-// through its seeded sum. Both runs must scrape the same set of keys.
+// Two identically-seeded campaigns scrape identical counter deltas — every
+// counter, exactly, whatever ran before them in this process — and the same
+// set of keys.
 TEST(ObsCampaign, MetricsAreDeterministicAcrossRuns) {
   const auto run_once = [] {
-    // Start each run with a cold shared-superblock registry: with a warm one
-    // the second run imports blocks the first run compiled, shifting counts
-    // between vm.superblock.compiles and vm.superblock.imports (total work
-    // is identical — that split is the one counter that reflects process
-    // history rather than the seed).
-    connlab::vm::SharedSuperblockRegistry::Instance().Clear();
     Scope scope;
     auto report = fuzz::Fuzzer(SmallCampaign(7, 2)).Run();
     EXPECT_TRUE(report.ok());
-    MetricsSnapshot m = scope.Metrics();
-    // Wall-clock gauges/rates don't exist in the registry; every counter
-    // scraped here declares its kind (CounterKind).
-    return m;
+    // Wall-clock gauges/rates don't exist in the registry, so every
+    // scraped counter is a function of the seed.
+    return scope.Metrics();
   };
   const MetricsSnapshot a = run_once();
   const MetricsSnapshot b = run_once();
   ASSERT_EQ(a.counters.size(), b.counters.size());
   for (const auto& [name, value] : a.counters) {
     ASSERT_EQ(b.counters.count(name), 1u) << name;
-    if (CounterKind(name) == MetricKind::kSeeded) {
-      EXPECT_EQ(value, b.counters.at(name)) << name;
-    }
+    EXPECT_EQ(value, b.counters.at(name)) << name;
   }
-  const auto built = [](const MetricsSnapshot& m) {
-    return m.counters.at("vm.superblock.compiles") +
-           m.counters.at("vm.superblock.imports");
-  };
-  EXPECT_EQ(built(a), built(b));
   EXPECT_EQ(a.histograms.at("fuzz.input_bytes").count,
             b.histograms.at("fuzz.input_bytes").count);
   EXPECT_EQ(a.histograms.at("fuzz.input_bytes").sum,
@@ -311,19 +296,16 @@ TEST(ObsCampaign, MetricsAreDeterministicAcrossRuns) {
 }
 
 // The superblock tier's counters ride the CPU's batched obs flush: a
-// campaign with the tier on (the default) exports compiles/hits/fallbacks
+// campaign on the fast path (the default) exports compiles/hits/fallbacks
 // under vm.superblock.*, and every compiled block is executed at least
-// once. With the tier disabled on the target, the counters never appear —
-// the campaign's counter deltas all stay at zero.
+// once. On the reference interpreter the counters never appear — the
+// campaign's counter deltas all stay at zero.
 TEST(ObsCampaign, SuperblockCountersExported) {
   const auto value_or_zero = [](const MetricsSnapshot& m, const char* name) {
     auto it = m.counters.find(name);
     return it == m.counters.end() ? std::uint64_t{0} : it->second;
   };
   {
-    // Cold shared registry so compiled blocks count as compiles here, not
-    // as imports of some earlier test's canonicals.
-    connlab::vm::SharedSuperblockRegistry::Instance().Clear();
     Scope scope;
     auto report = fuzz::Fuzzer(SmallCampaign(42, 1)).Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -343,7 +325,7 @@ TEST(ObsCampaign, SuperblockCountersExported) {
   {
     Scope scope;
     fuzz::FuzzConfig config = SmallCampaign(42, 1);
-    config.target.superblocks = false;
+    config.target.exec_mode = connlab::vm::ExecMode::kReference;
     auto report = fuzz::Fuzzer(config).Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const MetricsSnapshot m = scope.Metrics();
@@ -353,7 +335,6 @@ TEST(ObsCampaign, SuperblockCountersExported) {
     EXPECT_EQ(value_or_zero(m, "vm.superblock.invalidations"), 0u);
     EXPECT_EQ(value_or_zero(m, "vm.superblock.links"), 0u);
     EXPECT_EQ(value_or_zero(m, "vm.superblock.resumes"), 0u);
-    EXPECT_EQ(value_or_zero(m, "vm.superblock.imports"), 0u);
   }
 }
 

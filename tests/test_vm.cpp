@@ -6,7 +6,6 @@
 #include "src/isa/varm.hpp"
 #include "src/isa/vx86.hpp"
 #include "src/vm/cpu.hpp"
-#include "src/vm/superblock.hpp"
 #include "src/vm/syscalls.hpp"
 
 namespace connlab::vm {
@@ -22,13 +21,14 @@ struct Machine {
 };
 
 Machine MakeMachine(Arch arch, const util::Bytes& text,
-                    mem::Perm stack_perm = mem::kPermRW) {
+                    mem::Perm stack_perm = mem::kPermRW,
+                    ExecMode mode = ExecMode::kFast) {
   Machine m;
   EXPECT_TRUE(m.space.Map(".text", 0x1000, 0x1000, mem::kPermRX).ok());
   EXPECT_TRUE(m.space.Map(".data", 0x4000, 0x1000, mem::kPermRW).ok());
   EXPECT_TRUE(m.space.Map("stack", 0x8000, 0x1000, stack_perm).ok());
   EXPECT_TRUE(m.space.DebugWrite(0x1000, text).ok());
-  m.cpu = std::make_unique<Cpu>(arch, m.space);
+  m.cpu = std::make_unique<Cpu>(arch, m.space, mode);
   m.cpu->set_pc(0x1000);
   m.cpu->set_sp(0x9000);
   return m;
@@ -537,7 +537,7 @@ TEST(CpuPredecode, GuestStoresInvalidateStackDecodes) {
   x::EncJmp(w, 0x8000);
 
   auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRWX);
-  ASSERT_TRUE(m.cpu->predecode_enabled());
+  ASSERT_EQ(m.cpu->exec_mode(), ExecMode::kFast);
   ASSERT_TRUE(m.space.DebugWrite(0x8000, stub1.bytes()).ok());
 
   m.cpu->set_pc(0x8000);
@@ -633,18 +633,17 @@ TEST(CpuPredecode, ProtectRevokingExecInvalidatesDecodes) {
   EXPECT_EQ(second.detail, "instruction fetch failed");
 }
 
-/// Legacy mode (cache off) executes the same program with identical
-/// architectural results and step counts.
+/// The reference interpreter (no caches) executes the same program with
+/// identical architectural results and step counts.
 TEST(CpuPredecode, LegacyModeExecutesIdentically) {
-  for (const bool predecode : {true, false}) {
+  for (const ExecMode mode : {ExecMode::kFast, ExecMode::kReference}) {
     util::ByteWriter w;
     x::EncMovImm(w, isa::kEAX, 40);
     x::EncAddImm(w, isa::kEAX, 2);
     x::EncCmpImm(w, isa::kEAX, 42);
     x::EncHlt(w);
-    auto m = MakeMachine(Arch::kVX86, w.bytes());
-    m.cpu->set_predecode_enabled(predecode);
-    EXPECT_EQ(m.cpu->predecode_enabled(), predecode);
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW, mode);
+    EXPECT_EQ(m.cpu->exec_mode(), mode);
     auto stop = m.cpu->Run(100);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     EXPECT_EQ(stop.steps, 4u);
@@ -656,9 +655,9 @@ TEST(CpuPredecode, LegacyModeExecutesIdentically) {
 // --- Superblock tier: threaded-code blocks must mirror the interpreter ----
 
 /// The tier is on by default, and a hot loop retires the same stop reason,
-/// step count, and architectural state as the plain interpreter.
+/// step count, and architectural state as the reference interpreter.
 TEST(CpuSuperblock, TightLoopMatchesInterpreter) {
-  auto run = [](bool superblocks) {
+  auto run = [](ExecMode mode) {
     isa::Assembler a(Arch::kVX86, 0x1000);
     x::EncMovImm(a.w(), isa::kEAX, 1000);
     a.Label("loop");
@@ -666,22 +665,20 @@ TEST(CpuSuperblock, TightLoopMatchesInterpreter) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    EXPECT_TRUE(m.cpu->superblocks_enabled());  // default on
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW, mode);
     auto stop = m.cpu->Run(100000);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     return std::make_pair(stop.steps, m.cpu->reg(isa::kEAX));
   };
-  const auto tier = run(true);
-  EXPECT_EQ(tier, run(false));
+  const auto tier = run(ExecMode::kFast);
+  EXPECT_EQ(tier, run(ExecMode::kReference));
   EXPECT_EQ(tier.first, 3002u);  // mov + 1000 * (sub, cmp, jnz) + hlt
 }
 
 /// Same identity on VARM: the byte-copy loop exercises ARM loads, stores,
 /// flags, and backward branches through compiled blocks.
 TEST(CpuSuperblock, VarmCopyLoopMatchesInterpreter) {
-  auto run = [](bool superblocks) {
+  auto run = [](ExecMode mode) {
     isa::Assembler a(Arch::kVARM, 0x1000);
     a.Label("loop");
     v::EncCmpImm(a.w(), isa::kR2, 0);
@@ -694,8 +691,7 @@ TEST(CpuSuperblock, VarmCopyLoopMatchesInterpreter) {
     a.BLabel("loop");
     a.Label("done");
     v::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVARM, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVARM, a.Finish().value(), mem::kPermRW, mode);
     EXPECT_TRUE(m.space.WriteBytes(0x4000, util::BytesOf("HELLO")).ok());
     m.cpu->set_reg(isa::kR0, 0x4100);
     m.cpu->set_reg(isa::kR1, 0x4000);
@@ -705,7 +701,7 @@ TEST(CpuSuperblock, VarmCopyLoopMatchesInterpreter) {
     EXPECT_EQ(m.space.ReadBytes(0x4100, 5).value(), util::BytesOf("HELLO"));
     return std::make_tuple(stop.steps, m.cpu->reg(isa::kR0), m.cpu->pc());
   };
-  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(run(ExecMode::kFast), run(ExecMode::kReference));
 }
 
 /// A step budget that lands mid-block must stop at exactly that step — the
@@ -713,7 +709,7 @@ TEST(CpuSuperblock, VarmCopyLoopMatchesInterpreter) {
 TEST(CpuSuperblock, StepLimitExactMidLoop) {
   std::uint32_t pc[2], eax[2];
   int i = 0;
-  for (const bool superblocks : {true, false}) {
+  for (const ExecMode mode : {ExecMode::kFast, ExecMode::kReference}) {
     isa::Assembler a(Arch::kVX86, 0x1000);
     x::EncMovImm(a.w(), isa::kEAX, 1000);
     a.Label("loop");
@@ -721,8 +717,7 @@ TEST(CpuSuperblock, StepLimitExactMidLoop) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW, mode);
     auto stop = m.cpu->Run(500);  // not a multiple of the 3-op body
     EXPECT_EQ(stop.reason, StopReason::kStepLimit);
     EXPECT_EQ(stop.steps, 500u);
@@ -776,7 +771,7 @@ TEST(CpuSuperblock, MidBlockStoreFallsBackToFreshBytes) {
   x::EncHlt(w);
 
   auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX);
-  ASSERT_TRUE(m.cpu->superblocks_enabled());
+  ASSERT_EQ(m.cpu->exec_mode(), ExecMode::kFast);
   ASSERT_TRUE(m.space.DebugWrite(0x8000, w.bytes()).ok());
   m.cpu->set_pc(0x8000);
   auto stop = m.cpu->Run(100);
@@ -815,11 +810,12 @@ TEST(CpuSuperblock, WxFlipInvalidatesCompiledBlocks) {
 }
 
 /// Breakpoints flush compiled blocks and are honoured exactly: the stop
-/// lands on the breakpoint pc after the same number of retired steps with
-/// the tier on as off, and resuming skips it once, as the debugger expects.
+/// lands on the breakpoint pc after the same number of retired steps on the
+/// fast path as on the reference, and resuming skips it once, as the
+/// debugger expects.
 TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
   std::vector<std::uint64_t> steps_seen;
-  for (const bool superblocks : {true, false}) {
+  for (const ExecMode mode : {ExecMode::kFast, ExecMode::kReference}) {
     isa::Assembler a(Arch::kVX86, 0x1000);
     x::EncMovImm(a.w(), isa::kEAX, 100);
     a.Label("loop");
@@ -827,8 +823,7 @@ TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
     x::EncCmpImm(a.w(), isa::kEAX, 0);
     a.JnzLabel("loop");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW, mode);
 
     // Warm the block cache, then set a breakpoint on the cmp inside the
     // loop body and re-run from scratch.
@@ -857,43 +852,17 @@ TEST(CpuSuperblock, BreakpointInsideHotLoopStillHit) {
     EXPECT_EQ(m.cpu->Run(1000).reason, StopReason::kHalted);
   }
   ASSERT_EQ(steps_seen.size(), 4u);
-  EXPECT_EQ(steps_seen[0], steps_seen[2]);  // tier on == tier off
+  EXPECT_EQ(steps_seen[0], steps_seen[2]);  // fast == reference
   EXPECT_EQ(steps_seen[1], steps_seen[3]);
-}
-
-/// Toggling the tier off mid-life flushes blocks and lands back on the
-/// interpreter with identical results; toggling back on recompiles.
-TEST(CpuSuperblock, ToggleMidLifeStaysConsistent) {
-  isa::Assembler a(Arch::kVX86, 0x1000);
-  x::EncMovImm(a.w(), isa::kEAX, 50);
-  a.Label("loop");
-  x::EncSubImm(a.w(), isa::kEAX, 1);
-  x::EncCmpImm(a.w(), isa::kEAX, 0);
-  a.JnzLabel("loop");
-  x::EncHlt(a.w());
-  const util::Bytes text = a.Finish().value();
-  auto m = MakeMachine(Arch::kVX86, text);
-
-  auto first = m.cpu->Run(1000);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  m.cpu->set_superblocks_enabled(false);
-  m.cpu->set_pc(0x1000);
-  auto second = m.cpu->Run(1000);
-  m.cpu->set_superblocks_enabled(true);
-  m.cpu->set_pc(0x1000);
-  auto third = m.cpu->Run(1000);
-  EXPECT_EQ(second.steps, first.steps);
-  EXPECT_EQ(third.steps, first.steps);
-  EXPECT_EQ(third.reason, StopReason::kHalted);
 }
 
 // --- Block links: chained blocks must invalidate exactly like lone ones ---
 
 /// A loop whose body and header are separate blocks (a conditional exit at
 /// the top, a backward jmp at the bottom) stays linked block-to-block and
-/// retires identically across every tier combination.
+/// retires identically to the reference interpreter.
 TEST(CpuBlockLink, TwoBlockLoopMatchesInterpreter) {
-  auto run = [](bool superblocks, bool links) {
+  auto run = [](ExecMode mode) {
     isa::Assembler a(Arch::kVX86, 0x1000);
     x::EncMovImm(a.w(), isa::kEAX, 300);
     a.Label("loop");
@@ -904,17 +873,13 @@ TEST(CpuBlockLink, TwoBlockLoopMatchesInterpreter) {
     a.JmpLabel("loop");
     a.Label("done");
     x::EncHlt(a.w());
-    auto m = MakeMachine(Arch::kVX86, a.Finish().value());
-    EXPECT_TRUE(m.cpu->block_links_enabled());  // default on
-    m.cpu->set_superblocks_enabled(superblocks);
-    m.cpu->set_block_links_enabled(links);
+    auto m = MakeMachine(Arch::kVX86, a.Finish().value(), mem::kPermRW, mode);
     auto stop = m.cpu->Run(100000);
     EXPECT_EQ(stop.reason, StopReason::kHalted);
     return std::make_tuple(stop.steps, m.cpu->reg(isa::kEBX), m.cpu->pc());
   };
-  const auto linked = run(true, true);
-  EXPECT_EQ(linked, run(true, false));
-  EXPECT_EQ(linked, run(false, false));
+  const auto linked = run(ExecMode::kFast);
+  EXPECT_EQ(linked, run(ExecMode::kReference));
   EXPECT_EQ(std::get<0>(linked), 1504u);  // mov + 300*5 + cmp,jz + hlt
   EXPECT_EQ(std::get<1>(linked), 300u);
 }
@@ -965,7 +930,7 @@ TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
   };
 
   std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> seen;
-  for (const bool superblocks : {true, false}) {
+  for (const ExecMode mode : {ExecMode::kFast, ExecMode::kReference}) {
     std::uint32_t patcher_off = 0, b_off = 0;
     (void)emit(0x8000, 0, 0, &patcher_off, &b_off);
     std::uint32_t po2 = 0, bo2 = 0;
@@ -974,8 +939,7 @@ TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
     ASSERT_EQ(po2, patcher_off);
     ASSERT_EQ(bo2, b_off);
 
-    auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX);
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, util::Bytes{}, mem::kPermRWX, mode);
     ASSERT_TRUE(m.space.DebugWrite(0x8000, code).ok());
 
     // Pass 1 (eax=0): benign path compiles A, F and B and links A→F→B.
@@ -993,7 +957,7 @@ TEST(CpuBlockLink, SuccessorSmcMidChainRunsPatchedBytes) {
     EXPECT_EQ(m.cpu->reg(isa::kESI), 9u);  // a stale linked B would leave 7
     seen.emplace_back(stop.steps, m.cpu->reg(isa::kESI), m.cpu->pc());
   }
-  EXPECT_EQ(seen[0], seen[1]);  // tier on == tier off, step for step
+  EXPECT_EQ(seen[0], seen[1]);  // fast == reference, step for step
 }
 
 /// A W^X flip unlinks a chained edge: revoking X, patching the successor
@@ -1040,14 +1004,13 @@ TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
       0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
 
   std::vector<std::uint64_t> steps_seen;
-  for (const bool superblocks : {true, false}) {
+  for (const ExecMode mode : {ExecMode::kFast, ExecMode::kReference}) {
     util::ByteWriter w;
     x::EncMovImm(w, isa::kECX, 5);  // A
     x::EncJmp(w, b_addr);
     x::EncMovImm(w, isa::kESI, 7);  // B
     x::EncHlt(w);
-    auto m = MakeMachine(Arch::kVX86, w.bytes());
-    m.cpu->set_superblocks_enabled(superblocks);
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW, mode);
 
     EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);  // warm the link
     m.cpu->AddBreakpoint(b_addr);
@@ -1063,61 +1026,6 @@ TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
     EXPECT_EQ(m.cpu->reg(isa::kESI), 7u);
   }
   EXPECT_EQ(steps_seen[0], steps_seen[1]);
-}
-
-// --- Shared superblocks: one compiled block per image content -------------
-
-/// Worker 0 publishes its compiled blocks; an identically-imaged worker 1
-/// imports them instead of re-walking the instruction stream, and both
-/// retire identically. A CPU with sharing disabled touches the registry in
-/// neither direction.
-TEST(CpuSharedSuperblock, SecondCpuImportsAndMatches) {
-  util::ByteWriter w;
-  x::EncMovImm(w, isa::kEAX, 1000);
-  const std::uint32_t loop = 0x1000 + static_cast<std::uint32_t>(w.bytes().size());
-  x::EncSubImm(w, isa::kEAX, 1);
-  x::EncCmpImm(w, isa::kEAX, 0);
-  x::EncJnz(w, loop);
-  x::EncHlt(w);
-  const util::Bytes text = w.bytes();
-
-  auto& registry = SharedSuperblockRegistry::Instance();
-  registry.Clear();
-  const auto stats0 = registry.GetStats();
-
-  auto boot = [&](bool shared) {
-    auto m = MakeMachine(Arch::kVX86, text);
-    m.cpu->set_shared_superblocks_enabled(shared);
-    const mem::Segment* seg = m.space.FindSegmentByName(".text");
-    EXPECT_NE(seg, nullptr);
-    // Sharing keys on the bound DecodePlan's content identity, exactly as
-    // Boot sets workers up.
-    m.cpu->BindDecodePlan(
-        seg, DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *seg));
-    return m;
-  };
-
-  auto m1 = boot(true);
-  auto first = m1.cpu->Run(100000);
-  EXPECT_EQ(first.reason, StopReason::kHalted);
-  const auto stats1 = registry.GetStats();
-  EXPECT_GT(stats1.publishes, stats0.publishes);
-  EXPECT_GT(stats1.live_blocks, stats0.live_blocks);
-
-  auto m2 = boot(true);
-  auto second = m2.cpu->Run(100000);
-  EXPECT_EQ(second.reason, StopReason::kHalted);
-  EXPECT_EQ(second.steps, first.steps);
-  EXPECT_EQ(m2.cpu->reg(isa::kEAX), m1.cpu->reg(isa::kEAX));
-  const auto stats2 = registry.GetStats();
-  EXPECT_GT(stats2.imports, stats1.imports);
-  EXPECT_EQ(stats2.publishes, stats1.publishes);  // nothing recompiled
-
-  auto m3 = boot(false);
-  EXPECT_EQ(m3.cpu->Run(100000).steps, first.steps);
-  const auto stats3 = registry.GetStats();
-  EXPECT_EQ(stats3.imports, stats2.imports);
-  EXPECT_EQ(stats3.publishes, stats2.publishes);
 }
 
 // --- Shared decode plans: one predecoded table per image content ----------
@@ -1141,7 +1049,6 @@ TEST(CpuSharedPlan, PlanHitsExecuteIdentically) {
   EXPECT_GT(planned.cpu->BoundPlan(seg)->valid_entries(), 0u);
 
   auto unplanned = MakeMachine(Arch::kVX86, text);
-  unplanned.cpu->set_shared_plans_enabled(false);
 
   auto a = planned.cpu->Run(100);
   auto b = unplanned.cpu->Run(100);
