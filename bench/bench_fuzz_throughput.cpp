@@ -22,7 +22,9 @@
 // `--json[=path]` additionally writes BENCH_fuzz.json for CI, including the
 // `execs_per_sec_w{1,2,4,8}` aggregate ladder, `wall_execs_per_sec_w{N}`,
 // and the gated `speedup_w8` scaling ratio; `--workers N` restricts both
-// the table and the ladder to a single worker count.
+// the table and the ladder to a single worker count. The mode comparison,
+// the heap rung and the ladder run kRepetitions times and report each
+// number's median.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -41,6 +43,14 @@ namespace {
 
 /// Fixed budget per worker: rung N executes N * this many inputs.
 constexpr std::uint64_t kExecsPerWorker = 20000;
+
+/// Runs behind every median in the JSON artifact.
+constexpr int kRepetitions = 3;
+
+/// The heap rung's budget: camstored execs are ~20x cheaper than dnsproxy
+/// ones, so kExecsPerWorker of them time only ~20 ms — too short to read
+/// through host noise. This many take ~0.35 s.
+constexpr std::uint64_t kHeapExecs = 400000;
 
 /// Strips `--workers N` / `--workers=N` from argv. Returns 0 when absent
 /// (meaning: sweep the default 1/2/4/8 ladder).
@@ -181,64 +191,48 @@ BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 /// interpreter (vm::ExecMode::kReference) + full loader re-Boot per
 /// corruption; fast = the default kFast CPU + snapshot-restore reboots.
 /// Same seed, so the coverage digests must match — the speedup is free
-/// only if behaviour is identical.
+/// only if behaviour is identical. Each rate is the median of kRepetitions
+/// runs; the digests must match in every one of them.
 void CompareModes(const std::string& json_path, std::size_t workers_flag) {
   constexpr std::uint64_t kExecs = kExecsPerWorker;
 
-  fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
-  legacy_config.target.fast_reset = false;
-  legacy_config.target.exec_mode = vm::ExecMode::kReference;
-  auto legacy = fuzz::Fuzzer(legacy_config).Run();
-  auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();
-  if (!legacy.ok() || !fast.ok()) {
-    std::printf("mode comparison failed\n");
-    return;
-  }
-  const fuzz::FuzzStats& ls = legacy.value().stats;
-  const fuzz::FuzzStats& fs = fast.value().stats;
-  const double speedup =
-      ls.execs_per_sec > 0 ? fs.execs_per_sec / ls.execs_per_sec : 0;
-  const bool digests_match = ls.coverage_digest == fs.coverage_digest;
-
-  std::printf("== legacy vs fast VM mode — dnsproxy, 1 worker, seed 42 ==\n");
-  std::printf("%-34s %12s %9s\n", "mode", "execs/sec", "reboots");
-  std::printf("%s\n", std::string(58, '-').c_str());
-  std::printf("%-34s %12.0f %9llu\n", "legacy (reference, full re-Boot)",
-              ls.execs_per_sec, static_cast<unsigned long long>(ls.reboots));
-  std::printf("%-34s %12.0f %9llu\n", "fast (fast path + snapshot)",
-              fs.execs_per_sec, static_cast<unsigned long long>(fs.reboots));
-  std::printf("speedup: %.2fx, coverage digest %s\n\n", speedup,
-              digests_match ? "identical" : "DIVERGED");
-
-  auto heap = fuzz::Fuzzer(HeapCampaignConfig(1, kExecs)).Run();
-  if (heap.ok()) {
-    std::printf("heap-class campaign (camstored, 1 worker): %.0f execs/sec\n\n",
-                heap.value().stats.execs_per_sec);
-  }
-
-  if (!json_path.empty()) {
-    char digest[24];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(fs.coverage_digest));
-    benchout::JsonWriter json;
-    json.String("bench", "fuzz_throughput");
-    json.String("target", "dnsproxy");
-    json.Integer("execs", fs.execs);
-    json.Number("execs_per_sec_legacy", ls.execs_per_sec);
-    json.Number("execs_per_sec", fs.execs_per_sec);
-    json.Number("speedup", speedup);
-    json.Integer("reboots", fs.reboots);
-    json.Bool("digest_matches_legacy", digests_match);
-    json.String("coverage_digest", digest);
-    if (heap.ok()) {
-      json.Number("execs_per_sec_heap", heap.value().stats.execs_per_sec);
+  benchout::Samples samples;
+  fuzz::FuzzStats ls;  // the last run of each mode: counts and digests
+  fuzz::FuzzStats fs;
+  std::uint64_t digest = 0;
+  bool digests_match = true;
+  bool heap_ok = true;
+  for (int r = 0; r < kRepetitions; ++r) {
+    fuzz::FuzzConfig legacy_config = CampaignConfig(1, kExecs);
+    legacy_config.target.fast_reset = false;
+    legacy_config.target.exec_mode = vm::ExecMode::kReference;
+    auto legacy = fuzz::Fuzzer(legacy_config).Run();
+    auto fast = fuzz::Fuzzer(CampaignConfig(1, kExecs)).Run();
+    if (!legacy.ok() || !fast.ok()) {
+      std::printf("mode comparison failed\n");
+      return;
     }
+    ls = legacy.value().stats;
+    fs = fast.value().stats;
+    // One seed: every run, in either mode, must compute the same coverage.
+    if (r == 0) digest = fs.coverage_digest;
+    digests_match = digests_match && ls.coverage_digest == digest &&
+                    fs.coverage_digest == digest;
+    samples.Add("execs_per_sec_legacy", ls.execs_per_sec);
+    samples.Add("execs_per_sec", fs.execs_per_sec);
+    samples.Add("speedup",
+                ls.execs_per_sec > 0 ? fs.execs_per_sec / ls.execs_per_sec : 0);
+    auto heap = fuzz::Fuzzer(HeapCampaignConfig(1, kHeapExecs)).Run();
+    heap_ok = heap_ok && heap.ok();
+    if (heap.ok()) {
+      samples.Add("execs_per_sec_heap", heap.value().stats.execs_per_sec);
+    }
+    if (json_path.empty()) continue;
     // The worker-scaling ladder: kExecsPerWorker per worker per rung (see
     // the file comment). `execs_per_sec_wN` is the thread-CPU aggregate —
     // the number the regression gate and the speedup_w8 ratio ride on —
     // and `wall_execs_per_sec_wN` records what this host's core count
     // actually delivered (prefix chosen so only the aggregate is gated).
-    json.Integer("host_concurrency", std::thread::hardware_concurrency());
     double w1_aggregate = 0;
     double w8_aggregate = 0;
     for (const std::size_t w : WorkerSweep(workers_flag)) {
@@ -250,16 +244,50 @@ void CompareModes(const std::string& json_path, std::size_t workers_flag) {
       if (w == 8) w8_aggregate = s.execs_per_sec_aggregate;
       char key[40];
       std::snprintf(key, sizeof(key), "execs_per_sec_w%zu", w);
-      json.Number(key, s.execs_per_sec_aggregate);
+      samples.Add(key, s.execs_per_sec_aggregate);
       std::snprintf(key, sizeof(key), "wall_execs_per_sec_w%zu", w);
-      json.Number(key, s.execs_per_sec);
+      samples.Add(key, s.execs_per_sec);
     }
     // The scaling headline: parallel efficiency of the 8-worker rung. The
     // regression gate holds this >= its baseline so the ladder can never
     // silently flatten back out.
     if (w1_aggregate > 0 && w8_aggregate > 0) {
-      json.Number("speedup_w8", w8_aggregate / w1_aggregate);
+      samples.Add("speedup_w8", w8_aggregate / w1_aggregate);
     }
+  }
+
+  std::printf("== legacy vs fast VM mode — dnsproxy, 1 worker, seed 42 ==\n");
+  std::printf("(median of %d runs)\n", kRepetitions);
+  std::printf("%-34s %12s %9s\n", "mode", "execs/sec", "reboots");
+  std::printf("%s\n", std::string(58, '-').c_str());
+  std::printf("%-34s %12.0f %9llu\n", "legacy (reference, full re-Boot)",
+              samples.Median("execs_per_sec_legacy"),
+              static_cast<unsigned long long>(ls.reboots));
+  std::printf("%-34s %12.0f %9llu\n", "fast (fast path + snapshot)",
+              samples.Median("execs_per_sec"),
+              static_cast<unsigned long long>(fs.reboots));
+  std::printf("speedup: %.2fx, coverage digest %s\n\n",
+              samples.Median("speedup"),
+              digests_match ? "identical" : "DIVERGED");
+  if (heap_ok) {
+    std::printf("heap-class campaign (camstored, 1 worker): %.0f execs/sec\n\n",
+                samples.Median("execs_per_sec_heap"));
+  }
+
+  if (!json_path.empty()) {
+    char digest[24];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fs.coverage_digest));
+    benchout::JsonWriter json;
+    json.Integer("repetitions", kRepetitions);
+    json.String("bench", "fuzz_throughput");
+    json.String("target", "dnsproxy");
+    json.Integer("execs", fs.execs);
+    json.Integer("reboots", fs.reboots);
+    json.Bool("digest_matches_legacy", digests_match);
+    json.String("coverage_digest", digest);
+    json.Integer("host_concurrency", std::thread::hardware_concurrency());
+    json.Medians(samples);
     json.WriteFile(json_path);
   }
 }

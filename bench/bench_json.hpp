@@ -4,15 +4,20 @@
 // across commits without scraping the human tables. Every artifact also
 // records where it was measured — host CPU model, compiler, build type and
 // core count — so a baseline diff can tell a regression from a different
-// machine; the regression gate never compares those keys. Header-only and
+// machine; the regression gate never compares those keys. A bench that
+// repeats its measurements reports each number as the median of its runs
+// and records their count as the `repetitions` key, likewise never gated:
+// one run on a shared host can swing ±30%. Header-only and
 // deliberately tiny — flat string/number objects only, no escaping beyond
 // what our own keys need.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifndef CONNLAB_BENCH_COMPILER
@@ -45,6 +50,41 @@ inline std::string TakeJsonFlag(int& argc, char** argv,
   argc = w;
   return path;
 }
+
+/// Repeated measurements, one series per key in first-seen order; each is
+/// reported as its median (the mean of the middle two for an even count).
+class Samples {
+ public:
+  void Add(const std::string& key, double value) {
+    for (auto& [name, values] : series_) {
+      if (name == key) {
+        values.push_back(value);
+        return;
+      }
+    }
+    series_.push_back({key, {value}});
+  }
+
+  [[nodiscard]] double Median(const std::string& key) const {
+    for (const auto& [name, values] : series_) {
+      if (name != key) continue;
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t mid = sorted.size() / 2;
+      return sorted.size() % 2 == 1 ? sorted[mid]
+                                    : (sorted[mid - 1] + sorted[mid]) / 2;
+    }
+    return 0;
+  }
+
+  [[nodiscard]] const std::vector<std::pair<std::string, std::vector<double>>>&
+  series() const noexcept {
+    return series_;
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::vector<double>>> series_;
+};
 
 /// The host's CPU model (Linux /proc/cpuinfo), with the characters a flat
 /// JSON string cannot hold unescaped dropped; "unknown" elsewhere.
@@ -93,6 +133,12 @@ class JsonWriter {
   }
   void Bool(const std::string& key, bool value) {
     fields_.push_back('"' + key + (value ? "\": true" : "\": false"));
+  }
+  /// One Number per series: its median over the repetitions.
+  void Medians(const Samples& samples) {
+    for (const auto& series : samples.series()) {
+      Number(series.first, samples.Median(series.first));
+    }
   }
 
   [[nodiscard]] std::string Render() const {

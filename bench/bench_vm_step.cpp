@@ -8,6 +8,7 @@
 // image.
 // Timing: single ROP delivery, Boot, TakeSnapshot and RestoreSnapshot
 // (full and dirty-only).
+// Every number is the median of kRepetitions runs.
 // `--json[=path]` additionally writes BENCH_vm.json for CI.
 #include <benchmark/benchmark.h>
 
@@ -29,6 +30,9 @@ using namespace connlab;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// Runs behind every median in the table and the JSON artifact.
+constexpr int kRepetitions = 5;
 
 double Seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
@@ -233,57 +237,64 @@ int main(int argc, char** argv) {
       benchout::TakeJsonFlag(argc, argv, "BENCH_vm.json");
   // Short budgets when only the JSON artifact is wanted keep the CI smoke
   // step fast; the interactive table gets steadier numbers.
-  const double budget = json_path.empty() ? 3.0 : 1.5;
+  const double budget = json_path.empty() ? 1.0 : 0.5;
 
-  std::printf("== E13/E20/E23: VM hot path — reference vs fast ==\n\n");
+  std::printf("== E13/E20/E23: VM hot path — reference vs fast ==\n");
+  std::printf("(median of %d runs)\n\n", kRepetitions);
   g_labels = RopLabels();
 
-  const Throughput rop_ref =
-      MeasureRopReplay(vm::ExecMode::kReference, g_labels, budget);
-  const Throughput rop_fast =
-      MeasureRopReplay(vm::ExecMode::kFast, g_labels, budget);
-  const Throughput loop_ref =
-      MeasureTightLoop(vm::ExecMode::kReference, budget);
-  const Throughput loop_fast = MeasureTightLoop(vm::ExecMode::kFast, budget);
-  const RebootCost reboot = MeasureRebootCost();
-
-  const double rop_speedup = rop_fast.steps_per_sec / rop_ref.steps_per_sec;
-  const double loop_speedup = loop_fast.steps_per_sec / loop_ref.steps_per_sec;
+  benchout::Samples samples;
+  for (int r = 0; r < kRepetitions; ++r) {
+    const Throughput rop_ref =
+        MeasureRopReplay(vm::ExecMode::kReference, g_labels, budget);
+    const Throughput rop_fast =
+        MeasureRopReplay(vm::ExecMode::kFast, g_labels, budget);
+    const Throughput loop_ref =
+        MeasureTightLoop(vm::ExecMode::kReference, budget);
+    const Throughput loop_fast = MeasureTightLoop(vm::ExecMode::kFast, budget);
+    const RebootCost reboot = MeasureRebootCost();
+    // "_legacy" keys measure kReference, the unsuffixed ones kFast.
+    samples.Add("rop_steps_per_sec_legacy", rop_ref.steps_per_sec);
+    samples.Add("rop_steps_per_sec", rop_fast.steps_per_sec);
+    samples.Add("rop_speedup", rop_fast.steps_per_sec / rop_ref.steps_per_sec);
+    samples.Add("rop_deliveries_per_sec", rop_fast.items_per_sec);
+    samples.Add("loop_steps_per_sec_legacy", loop_ref.steps_per_sec);
+    samples.Add("loop_steps_per_sec", loop_fast.steps_per_sec);
+    samples.Add("loop_speedup",
+                loop_fast.steps_per_sec / loop_ref.steps_per_sec);
+    samples.Add("boot_us", reboot.boot_us);
+    // restore_us stays the headline key (the mode campaigns actually run,
+    // now dirty-only); restore_full_us keeps the old wholesale copy visible.
+    samples.Add("restore_us", reboot.restore_dirty_us);
+    samples.Add("restore_full_us", reboot.restore_full_us);
+    samples.Add("dirty_restore_speedup",
+                reboot.restore_full_us / reboot.restore_dirty_us);
+    samples.Add("reboot_speedup", reboot.boot_us / reboot.restore_dirty_us);
+  }
+  auto median = [&](const char* key) { return samples.Median(key); };
 
   std::printf("%-18s %15s %15s %9s\n", "workload", "reference st/s",
               "fast st/s", "speedup");
   std::printf("%s\n", std::string(60, '-').c_str());
   std::printf("%-18s %15.0f %15.0f %8.2fx\n", "rop replay (x86)",
-              rop_ref.steps_per_sec, rop_fast.steps_per_sec, rop_speedup);
+              median("rop_steps_per_sec_legacy"), median("rop_steps_per_sec"),
+              median("rop_speedup"));
   std::printf("%-18s %15.0f %15.0f %8.2fx\n", "tight loop (x86)",
-              loop_ref.steps_per_sec, loop_fast.steps_per_sec, loop_speedup);
+              median("loop_steps_per_sec_legacy"),
+              median("loop_steps_per_sec"), median("loop_speedup"));
   std::printf("\nreboot: full Boot %.1f us, full restore %.1f us, "
               "dirty-only restore %.1f us\n"
               "        (restore %.1fx cheaper than Boot; dirty-only %.1fx "
               "cheaper than full,\n         lightly-dirtied image)\n\n",
-              reboot.boot_us, reboot.restore_full_us, reboot.restore_dirty_us,
-              reboot.boot_us / reboot.restore_dirty_us,
-              reboot.restore_full_us / reboot.restore_dirty_us);
+              median("boot_us"), median("restore_full_us"),
+              median("restore_us"), median("reboot_speedup"),
+              median("dirty_restore_speedup"));
 
   if (!json_path.empty()) {
     benchout::JsonWriter json;
+    json.Integer("repetitions", kRepetitions);
     json.String("bench", "vm_step");
-    // "_legacy" keys measure kReference, the unsuffixed ones kFast.
-    json.Number("rop_steps_per_sec_legacy", rop_ref.steps_per_sec);
-    json.Number("rop_steps_per_sec", rop_fast.steps_per_sec);
-    json.Number("rop_speedup", rop_speedup);
-    json.Number("rop_deliveries_per_sec", rop_fast.items_per_sec);
-    json.Number("loop_steps_per_sec_legacy", loop_ref.steps_per_sec);
-    json.Number("loop_steps_per_sec", loop_fast.steps_per_sec);
-    json.Number("loop_speedup", loop_speedup);
-    json.Number("boot_us", reboot.boot_us);
-    // restore_us stays the headline key (the mode campaigns actually run,
-    // now dirty-only); restore_full_us keeps the old wholesale copy visible.
-    json.Number("restore_us", reboot.restore_dirty_us);
-    json.Number("restore_full_us", reboot.restore_full_us);
-    json.Number("dirty_restore_speedup",
-                reboot.restore_full_us / reboot.restore_dirty_us);
-    json.Number("reboot_speedup", reboot.boot_us / reboot.restore_dirty_us);
+    json.Medians(samples);
     json.WriteFile(json_path);
     return 0;  // CI smoke mode: skip the microbenchmark phase
   }

@@ -13,8 +13,9 @@ A gated key present in the fresh artifact but absent from the baseline also
 fails: it means a new headline metric was added without refreshing the
 committed baseline, so the gate would never actually watch it. Ungated keys
 (and INFO_ONLY ones) may come and go freely — among them the measurement
-metadata every artifact carries (host, compiler, build_type, nproc), which
-describes where a number came from, not the number itself.
+metadata every artifact carries (host, compiler, build_type, nproc, and
+repetitions where a bench reports medians of N runs), which describes where
+and how a number came from, not the number itself.
 
 Digest keys (DIGEST_KEYS) are strings, gated for equality: a fresh digest
 that differs from the committed one means the measured run computed

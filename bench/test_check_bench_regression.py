@@ -7,7 +7,8 @@ Runs the checker on small baseline/fresh artifact pairs and asserts its
 exit code: an equal digest passes, a differing one fails, and one missing
 from the fresh artifact fails — for the fuzz artifact's coverage_digest and
 the fleet artifact's fleet_curve_digest. The measurement metadata every
-artifact carries (host, compiler, build_type, nproc) is never gated.
+artifact carries (host, compiler, build_type, nproc, repetitions) is never
+gated.
 """
 
 import json
@@ -97,6 +98,18 @@ class MetadataIgnored(unittest.TestCase):
 
     def test_metadata_missing_from_fresh_passes(self):
         result = run_checker(dict(BASELINE, **self.META), dict(BASELINE))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_repetitions_is_not_gated(self):
+        # A median of more runs is not a regression, and a baseline measured
+        # before repetitions existed must not fail as stale.
+        baseline = dict(BASELINE, repetitions=5)
+        for fresh in (dict(BASELINE, repetitions=1),
+                      dict(BASELINE, repetitions=50)):
+            result = run_checker(baseline, fresh)
+            self.assertEqual(result.returncode, 0,
+                             result.stdout + result.stderr)
+        result = run_checker(BASELINE, dict(BASELINE, repetitions=3))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
 

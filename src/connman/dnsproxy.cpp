@@ -48,12 +48,19 @@ DnsProxy::DnsProxy(loader::System& sys, Version version)
       version_(version),
       frame_(FrameFor(sys.prot, sys.arch)),
       frame_base_(FrameBase(sys.layout, frame_)) {
-  // Sentinel the guest copy routine returns to; stops the CPU so the
-  // native parser can continue. Idempotent across proxies on one system.
-  auto done = sys_.Sym("connman.copy_done");
-  if (done.ok() && !sys_.cpu->IsHostFn(done.value())) {
+  // The guest copy routine and its return sentinel, resolved once: every
+  // label copy enters one and returns to the other.
+  if (auto copy_fn = sys_.Sym("connman.copy_label"); copy_fn.ok()) {
+    copy_fn_ = copy_fn.value();
+  }
+  if (auto done = sys_.Sym("connman.copy_done"); done.ok()) {
+    copy_done_ = done.value();
+  }
+  // The sentinel stops the CPU so the native parser can continue.
+  // Idempotent across proxies on one system.
+  if (copy_done_.has_value() && !sys_.cpu->IsHostFn(*copy_done_)) {
     (void)sys_.cpu->RegisterHostFn(
-        done.value(), "connman.copy_done", [](vm::Cpu& cpu) {
+        *copy_done_, "connman.copy_done", [](vm::Cpu& cpu) {
           cpu.RequestStop(vm::StopReason::kHalted, "label copied");
           return util::OkStatus();
         });
@@ -83,31 +90,33 @@ DnsProxy::GetNameStatus DnsProxy::GuestCopy(mem::GuestAddr dst,
                                             mem::GuestAddr src,
                                             std::uint32_t len) {
   auto& cpu = *sys_.cpu;
-  auto copy_fn = sys_.Sym("connman.copy_label");
-  auto done = sys_.Sym("connman.copy_done");
-  if (!copy_fn.ok() || !done.ok()) return GetNameStatus::kGuestFault;
+  if (!copy_fn_.has_value() || !copy_done_.has_value()) {
+    return GetNameStatus::kGuestFault;
+  }
+  const mem::GuestAddr copy_fn = *copy_fn_;
+  const mem::GuestAddr done = *copy_done_;
 
   // Callee frames live below parse_response's buffer, like real ones.
   cpu.set_sp(frame_base_ - 0x40);
   if (sys_.arch == isa::Arch::kVX86) {
     // cdecl: push args right-to-left, then the return address.
     if (!cpu.Push(len).ok() || !cpu.Push(src).ok() || !cpu.Push(dst).ok() ||
-        !cpu.Push(done.value()).ok()) {
+        !cpu.Push(done).ok()) {
       return GetNameStatus::kGuestFault;
     }
   } else {
     cpu.set_reg(isa::kR0, dst);
     cpu.set_reg(isa::kR1, src);
     cpu.set_reg(isa::kR2, len);
-    cpu.set_reg(isa::kLR, done.value());
+    cpu.set_reg(isa::kLR, done);
   }
   // The shadow stack (CFI builds) must tolerate this legitimate call. Only
   // VX86 needs the entry: its copy routine returns via the checked `ret`;
   // VARM returns via `bx lr`, which CFI CaRE leaves to the link register.
   if (cpu.shadow_stack_enabled() && sys_.arch == isa::Arch::kVX86) {
-    cpu.ShadowPush(done.value());
+    cpu.ShadowPush(done);
   }
-  cpu.set_pc(copy_fn.value());
+  cpu.set_pc(copy_fn);
   const vm::StopInfo stop = cpu.Run(/*max_steps=*/64 + 8ull * len);
   if (stop.reason == vm::StopReason::kHalted && stop.detail == "label copied") {
     return GetNameStatus::kOk;

@@ -130,6 +130,9 @@ class DnsProxy {
   Version version_;
   FrameLayout frame_;
   mem::GuestAddr frame_base_;
+  // connman.copy_label / connman.copy_done; unset when the image lacks them.
+  std::optional<mem::GuestAddr> copy_fn_;
+  std::optional<mem::GuestAddr> copy_done_;
   Cache cache_;
   std::map<std::uint16_t, Pending> pending_;
   std::uint64_t now_ = 1000;

@@ -30,7 +30,9 @@ util::Status AddressSpace::Map(std::string name, GuestAddr base,
     return util::OutOfRange("segment exceeds 32-bit address space");
   }
   for (const auto& seg : segments_) {
-    const bool disjoint = end <= seg->base() || base >= seg->end();
+    const std::uint64_t seg_end =
+        static_cast<std::uint64_t>(seg->base()) + seg->size();
+    const bool disjoint = end <= seg->base() || base >= seg_end;
     if (!disjoint) {
       return util::AlreadyExists("segment '" + name + "' overlaps '" +
                                  seg->name() + "'");
@@ -56,7 +58,6 @@ util::Status AddressSpace::Protect(std::string_view name, Perm perms) {
 }
 
 const Segment* AddressSpace::FindSegment(GuestAddr addr) const noexcept {
-  if (hot_seg_ != nullptr && hot_seg_->Contains(addr)) return hot_seg_;
   // segments_ is sorted by base; binary search for the candidate.
   auto pos = std::upper_bound(
       segments_.begin(), segments_.end(), addr,
@@ -64,7 +65,6 @@ const Segment* AddressSpace::FindSegment(GuestAddr addr) const noexcept {
   if (pos == segments_.begin()) return nullptr;
   const Segment* seg = std::prev(pos)->get();
   if (!seg->Contains(addr)) return nullptr;
-  hot_seg_ = seg;
   return seg;
 }
 
@@ -89,39 +89,25 @@ const Segment* AddressSpace::CheckAccess(GuestAddr addr, std::uint32_t len,
     last_fault_ = FaultInfo{kind, addr, "unmapped address " + Hex(addr)};
     return nullptr;
   }
-  const Perm need = kind == AccessKind::kRead    ? Perm::kRead
-                    : kind == AccessKind::kWrite ? Perm::kWrite
-                                                 : Perm::kExec;
-  if (!Has(seg->perms(), need)) {
+  if (!Has(seg->perms(), NeededPerm(kind))) {
     last_fault_ = FaultInfo{kind, addr,
                             "no " + AccessKindName(kind) + " permission on " +
                                 seg->name() + " (" + PermString(seg->perms()) +
                                 ") at " + Hex(addr)};
     return nullptr;
   }
+  regs_[static_cast<std::size_t>(kind)] = seg;
   return seg;
 }
 
-util::Result<std::uint8_t> AddressSpace::ReadU8(GuestAddr addr) const {
-  const Segment* seg = CheckAccess(addr, 1, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  return seg->At(addr);
-}
-
-util::Result<std::uint32_t> AddressSpace::ReadU32(GuestAddr addr) const {
-  const Segment* seg = CheckAccess(addr, 4, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  const util::ByteSpan w = seg->SpanAt(addr, 4);
-  return static_cast<std::uint32_t>(w[0]) |
-         (static_cast<std::uint32_t>(w[1]) << 8) |
-         (static_cast<std::uint32_t>(w[2]) << 16) |
-         (static_cast<std::uint32_t>(w[3]) << 24);
+util::Status AddressSpace::Denied() const {
+  return util::PermissionDenied(last_fault_->detail);
 }
 
 util::Result<util::Bytes> AddressSpace::ReadBytes(GuestAddr addr,
                                                   std::uint32_t len) const {
-  const Segment* seg = CheckAccess(addr, len, AccessKind::kRead);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  const Segment* seg = Resolve(addr, len, AccessKind::kRead);
+  if (seg == nullptr) return Denied();
   auto span = seg->SpanAt(addr, len);
   return util::Bytes(span.begin(), span.end());
 }
@@ -138,46 +124,20 @@ util::Result<std::string> AddressSpace::ReadCString(GuestAddr addr,
   return util::OutOfRange("unterminated string at " + Hex(addr));
 }
 
-util::Status AddressSpace::WriteU8(GuestAddr addr, std::uint8_t value) {
-  const Segment* seg = CheckAccess(addr, 1, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  const_cast<Segment*>(seg)->Set(addr, value);
-  return util::OkStatus();
-}
-
-util::Status AddressSpace::WriteU32(GuestAddr addr, std::uint32_t value) {
-  const Segment* seg = CheckAccess(addr, 4, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(value & 0xFF),
-      static_cast<std::uint8_t>((value >> 8) & 0xFF),
-      static_cast<std::uint8_t>((value >> 16) & 0xFF),
-      static_cast<std::uint8_t>((value >> 24) & 0xFF)};
-  const_cast<Segment*>(seg)->SetBytes(addr, util::ByteSpan(bytes, 4));
-  return util::OkStatus();
-}
-
 util::Status AddressSpace::WriteBytes(GuestAddr addr, util::ByteSpan data) {
   const auto len = static_cast<std::uint32_t>(data.size());
-  const Segment* seg = CheckAccess(addr, len, AccessKind::kWrite);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  const Segment* seg = Resolve(addr, len, AccessKind::kWrite);
+  if (seg == nullptr) return Denied();
   const_cast<Segment*>(seg)->SetBytes(addr, data);
   return util::OkStatus();
 }
 
 util::Result<util::Bytes> AddressSpace::Fetch(GuestAddr addr,
                                               std::uint32_t len) const {
-  const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
+  const Segment* seg = Resolve(addr, len, AccessKind::kFetch);
+  if (seg == nullptr) return Denied();
   auto span = seg->SpanAt(addr, len);
   return util::Bytes(span.begin(), span.end());
-}
-
-util::Result<const Segment*> AddressSpace::FetchSegment(
-    GuestAddr addr, std::uint32_t len) const {
-  const Segment* seg = CheckAccess(addr, len, AccessKind::kFetch);
-  if (seg == nullptr) return util::PermissionDenied(last_fault_->detail);
-  return seg;
 }
 
 util::Result<util::Bytes> AddressSpace::DebugRead(GuestAddr addr,

@@ -23,13 +23,6 @@ Segment::Segment(std::string name, GuestAddr base, std::uint32_t size, Perm perm
       data_(size, 0),
       dirty_(DirtyWordCount(size), 0) {}
 
-bool Segment::ContainsRange(GuestAddr addr, std::uint32_t len) const noexcept {
-  if (len == 0) return Contains(addr) || addr == end();
-  if (addr < base_) return false;
-  const std::uint64_t last = static_cast<std::uint64_t>(addr) + len;
-  return last <= static_cast<std::uint64_t>(end());
-}
-
 void Segment::SetBytes(GuestAddr addr, util::ByteSpan bytes) noexcept {
   std::copy(bytes.begin(), bytes.end(), data_.begin() + (addr - base_));
   ++generation_;

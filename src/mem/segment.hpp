@@ -39,11 +39,18 @@ class Segment {
   [[nodiscard]] Perm perms() const noexcept { return perms_; }
   void set_perms(Perm perms) noexcept { perms_ = perms; }
 
+  // Offsets, not end(), keep these exact for a segment that ends at the
+  // top of the address space (its end() wraps to 0): an address below base
+  // wraps to an offset no smaller than size().
   [[nodiscard]] bool Contains(GuestAddr addr) const noexcept {
-    return addr >= base_ && addr < end();
+    return addr - base_ < size();
   }
   /// True iff [addr, addr+len) fits wholly inside the segment.
-  [[nodiscard]] bool ContainsRange(GuestAddr addr, std::uint32_t len) const noexcept;
+  [[nodiscard]] bool ContainsRange(GuestAddr addr,
+                                   std::uint32_t len) const noexcept {
+    const std::uint32_t off = addr - base_;
+    return off <= size() && len <= size() - off;
+  }
 
   // Raw accessors. Callers must have validated the range (the AddressSpace
   // front door does); these index directly.
@@ -54,7 +61,19 @@ class Segment {
     const std::uint32_t off = addr - base_;
     data_[off] = value;
     ++generation_;
-    dirty_[off >> (kDirtyPageShift + 6)] |= 1ull << ((off >> kDirtyPageShift) & 63u);
+    MarkDirty(off);
+  }
+  /// Little-endian word write: one generation bump and the dirty bits of
+  /// the (at most two) pages it touches, exactly as SetBytes would do.
+  void SetU32(GuestAddr addr, std::uint32_t value) noexcept {
+    const std::uint32_t off = addr - base_;
+    data_[off] = static_cast<std::uint8_t>(value);
+    data_[off + 1] = static_cast<std::uint8_t>(value >> 8);
+    data_[off + 2] = static_cast<std::uint8_t>(value >> 16);
+    data_[off + 3] = static_cast<std::uint8_t>(value >> 24);
+    ++generation_;
+    MarkDirty(off);
+    MarkDirty(off + 3);
   }
   /// Bulk write without per-byte generation bumps (one bump per call).
   void SetBytes(GuestAddr addr, util::ByteSpan bytes) noexcept;
@@ -100,6 +119,11 @@ class Segment {
   std::uint32_t RestoreDirtyPagesFrom(util::ByteSpan reference) noexcept;
 
  private:
+  void MarkDirty(std::uint32_t off) noexcept {
+    const std::uint32_t page = off >> kDirtyPageShift;
+    dirty_[page >> 6u] |= 1ull << (page & 63u);
+  }
+
   std::string name_;
   GuestAddr base_;
   Perm perms_;
