@@ -3,8 +3,9 @@
 // Two headline numbers for the tripwire:
 //   - fleet_victims_per_sec: how fast the discrete-event driver pushes
 //     victims through join/query/attack/leave at 8 bits of diversity (the
-//     heaviest configuration — most lanes, most churn), measured on one
-//     serial campaign so it does not depend on the runner's core count.
+//     heaviest configuration — most lanes, most churn), measured on
+//     serial campaigns so it does not depend on the runner's core count,
+//     and reported as the median of kRepetitions of them.
 //   - compromised-fraction rows per entropy point (info-only: they are
 //     model outputs, not performance, but CI archives them so a modeling
 //     change shows up in the artifact diff).
@@ -21,6 +22,9 @@
 using namespace connlab;
 
 namespace {
+
+/// Serial campaigns behind the throughput median in the JSON artifact.
+constexpr int kRepetitions = 5;
 
 fleet::FleetConfig BenchConfig(std::uint64_t victims, int diversity_bits) {
   fleet::FleetConfig config;
@@ -59,20 +63,27 @@ int main(int argc, char** argv) {
   // Throughput headline: the heaviest configuration, run alone. The sweep
   // above runs its campaigns in parallel, so its per-point rates depend on
   // how many cores the runner has and what the other campaigns are doing.
-  auto heavy = fleet::RunFleetCampaign(BenchConfig(victims, 8));
-  if (!heavy.ok()) {
-    std::printf("error: %s\n", heavy.status().ToString().c_str());
-    return 1;
+  // One serial run swings with host load, so it repeats and reports the
+  // median.
+  benchout::Samples samples;
+  for (int r = 0; r < kRepetitions; ++r) {
+    auto heavy = fleet::RunFleetCampaign(BenchConfig(victims, 8));
+    if (!heavy.ok()) {
+      std::printf("error: %s\n", heavy.status().ToString().c_str());
+      return 1;
+    }
+    samples.Add("fleet_victims_per_sec", heavy.value().victims_per_sec);
   }
-  std::printf("serial campaign (8 bits, %" PRIu64 " victims): %.0f "
-              "victims/sec\n\n",
-              victims, heavy.value().victims_per_sec);
+  std::printf("serial campaign (8 bits, %" PRIu64 " victims, median of %d "
+              "runs): %.0f victims/sec\n\n",
+              victims, kRepetitions, samples.Median("fleet_victims_per_sec"));
 
   if (!json_path.empty()) {
     benchout::JsonWriter json;
+    json.Integer("repetitions", kRepetitions);
     json.String("bench", "fleet");
     json.Integer("fleet_victims", victims);
-    json.Number("fleet_victims_per_sec", heavy.value().victims_per_sec);
+    json.Medians(samples);
     for (const fleet::SurvivalPoint& p : curve.value()) {
       json.Number("fleet_fraction_b" + std::to_string(p.diversity_bits),
                   p.compromised_fraction);

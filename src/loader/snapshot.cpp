@@ -15,6 +15,11 @@ std::atomic<bool> g_dirty_restore_default{true};
 // never accidentally match a real snapshot.
 std::atomic<std::uint64_t> g_next_snapshot_id{1};
 
+std::uint64_t ImageHash(const Snapshot::SegmentImage& img) noexcept {
+  return vm::DecodePlan::HashContent(
+      util::ByteSpan(img.data.data(), img.data.size()));
+}
+
 }  // namespace
 
 void SetDirtyRestoreDefault(bool enabled) noexcept {
@@ -32,9 +37,12 @@ Snapshot TakeSnapshot(System& sys) {
   snap.segments.reserve(sys.space.segments().size());
   for (const auto& seg : sys.space.segments()) {
     snap.segments.push_back(Snapshot::SegmentImage{
-        seg->name(), seg->base(), seg->data(), seg->perms(),
-        vm::DecodePlan::HashContent(
-            util::ByteSpan(seg->data().data(), seg->data().size()))});
+        seg->name(), seg->base(), seg->data(), seg->perms(), std::nullopt});
+    // Only a bound plan ever reads the hash (RestoreSnapshot's re-arm), so
+    // the stack, heap and data images are not walked for it.
+    if (sys.cpu->BoundPlan(seg.get()) != nullptr) {
+      snap.segments.back().content_hash = ImageHash(snap.segments.back());
+    }
     // From here on, "dirty" means "diverged from this snapshot".
     seg->ResetDirty(snap.id);
   }
@@ -94,7 +102,13 @@ util::Status RestoreSnapshot(System& sys, const Snapshot& snap,
     // Full copies (and permission rollbacks) moved the generation even
     // though the content provably matches the snapshot image again; re-arm
     // the shared decode plan rather than losing it to the staleness check.
-    sys.cpu->RearmDecodePlan(&seg, img.content_hash);
+    // A plan bound after TakeSnapshot meets an image that was not hashed
+    // then: hash it now, so the re-arm outcome is the same either way.
+    if (sys.cpu->BoundPlan(&seg) != nullptr) {
+      const std::uint64_t hash =
+          img.content_hash.has_value() ? *img.content_hash : ImageHash(img);
+      sys.cpu->RearmDecodePlan(&seg, hash);
+    }
   }
   sys.space.ClearFault();
   sys.cpu->RestoreState(snap.cpu);

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,11 @@ struct Snapshot {
     mem::Perm perms = mem::Perm::kNone;
     // Content hash of `data` (vm::DecodePlan::HashContent), used after a
     // full-copy restore to re-arm shared decode-plan bindings whose segment
-    // generation moved but whose bytes provably did not change.
-    std::uint64_t content_hash = 0;
+    // generation moved but whose bytes provably did not change. Plan-bound
+    // segments only: TakeSnapshot leaves it empty ("not hashed") for every
+    // segment the CPU had no plan bound to, and a restore that meets a
+    // binding on such a segment hashes `data` at that point.
+    std::optional<std::uint64_t> content_hash;
   };
   std::vector<SegmentImage> segments;
   vm::Cpu::State cpu;

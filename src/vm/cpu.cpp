@@ -133,7 +133,11 @@ void Cpu::FlushObsBatch() noexcept {
 #endif
 
 void Cpu::FlushPredecodeCache() noexcept {
+  // A Boot registers its host functions before any guest code runs; each
+  // registration would otherwise zero all kPredecodeSlots for nothing.
+  if (!predecode_filled_) return;
   for (PredecodeEntry& slot : predecode_) slot = PredecodeEntry{};
+  predecode_filled_ = false;
 }
 
 void Cpu::BindDecodePlan(const mem::Segment* seg,
@@ -363,6 +367,7 @@ void Cpu::StepSlow() {
       slot.kind = PredecodeEntry::Kind::kHostFn;
       slot.seg = nullptr;
       slot.host = &host->second;  // std::map nodes are pointer-stable
+      predecode_filled_ = true;
     }
     DispatchHostFn(host->second);
     return;
@@ -436,6 +441,7 @@ void Cpu::StepSlow() {
     slot.gen = seg->generation();
     slot.instr = *planned;
     slot.host = nullptr;
+    predecode_filled_ = true;
     const isa::Instr ins = *planned;  // plans are immutable; copy anyway,
     ++steps_;                         // matching the hot path's idiom
     if (trace_limit_ != 0) {
@@ -477,6 +483,7 @@ void Cpu::StepSlow() {
   slot.gen = seg->generation();
   slot.instr = decoded.value();
   slot.host = nullptr;
+  predecode_filled_ = true;
 
   ++steps_;
   if (trace_limit_ != 0) {

@@ -135,6 +135,8 @@ class Cpu {
   // generation, so any write into a segment — shellcode landing on the
   // stack, a debugger poke into .text — invalidates its cached decodes and
   // the next execution re-fetches through the permission-checked front door.
+  // A flush when no slot has been filled since construction or the last
+  // flush is free, so a Boot's host-fn registrations cost nothing here.
   void FlushPredecodeCache() noexcept;
 
   // --- Shared decode plans --------------------------------------------------
@@ -363,6 +365,8 @@ class Cpu {
   std::uint32_t cov_prev_ = 0;
   const ExecMode mode_;
   std::vector<PredecodeEntry> predecode_;
+  // Set by the StepSlow slot fills, cleared by FlushPredecodeCache.
+  bool predecode_filled_ = false;
   std::uint32_t predecode_shift_ = 0;  // 2 on VARM (4-byte aligned), 0 on VX86
   std::vector<PlanBinding> plan_bindings_;  // one or two entries (.text, libc)
   std::unique_ptr<SuperblockCache> sb_;  // lazily created on first Run

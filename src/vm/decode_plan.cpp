@@ -1,27 +1,54 @@
 #include "src/vm/decode_plan.hpp"
 
+#include <cstring>
 #include <mutex>
 
 #include "src/isa/disasm.hpp"
 
 namespace connlab::vm {
 
-std::uint64_t DecodePlan::HashContent(util::ByteSpan bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+namespace {
+
+// One round of the content hash: a multiply by an odd constant and an
+// xorshift, each a bijection on 64-bit words. Two inputs of one length that
+// differ in a single word therefore reach different states after that word,
+// and every later round (and the final mix) keeps them apart.
+constexpr std::uint64_t Mix(std::uint64_t h) noexcept {
+  h *= 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 29);
 }
 
-std::shared_ptr<const DecodePlan> DecodePlan::Build(isa::Arch arch,
-                                                    const mem::Segment& seg) {
+}  // namespace
+
+std::uint64_t DecodePlan::HashContent(util::ByteSpan bytes) noexcept {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint64_t h = Mix(0xcbf29ce484222325ULL ^ n);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = Mix(h ^ word);
+  }
+  if (n != 0) {
+    std::uint64_t tail = 0;  // zero-padded; the seeded length tells tails apart
+    std::memcpy(&tail, p, n);
+    h = Mix(h ^ tail);
+  }
+  // murmur3's fmix64: every input bit reaches every output bit.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
+}
+
+std::shared_ptr<const DecodePlan> DecodePlan::Build(
+    isa::Arch arch, const mem::Segment& seg, std::uint64_t content_hash) {
   auto plan = std::shared_ptr<DecodePlan>(new DecodePlan());
   plan->arch_ = arch;
   plan->base_ = seg.base();
   plan->size_ = seg.size();
-  plan->hash_ = HashContent(seg.data());
+  plan->hash_ = content_hash;
   const util::ByteSpan bytes(seg.data().data(), seg.data().size());
   const std::uint32_t step = arch == isa::Arch::kVARM ? isa::kVARMInstrSize : 1;
   plan->entries_.resize(plan->size_ / step + (plan->size_ % step != 0));
@@ -58,7 +85,8 @@ std::shared_ptr<const DecodePlan> DecodePlanRegistry::GetOrBuild(
   // build the same image both decode it, but only one insert wins and the
   // loser adopts the winner's plan — a rare duplicate decode, paid once per
   // image, beats serialising every boot in the fleet.
-  std::shared_ptr<const DecodePlan> plan = DecodePlan::Build(arch, seg);
+  std::shared_ptr<const DecodePlan> plan =
+      DecodePlan::Build(arch, seg, key.hash);
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto [it, inserted] = plans_.try_emplace(key, plan);
   if (!inserted) {

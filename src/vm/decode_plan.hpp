@@ -41,12 +41,16 @@ namespace connlab::vm {
 class DecodePlan {
  public:
   /// Content identity used to key plans and to re-arm bindings after a
-  /// snapshot restore. FNV-1a over the raw bytes.
+  /// snapshot restore. Seeded with the length, then one multiply–xorshift
+  /// round per 8-byte word (plus one for the zero-padded tail) and a final
+  /// avalanche: any single-byte change at any offset changes the hash.
   [[nodiscard]] static std::uint64_t HashContent(util::ByteSpan bytes) noexcept;
 
   /// Decodes every reachable offset of `seg` as it is right now.
+  /// `content_hash` must be HashContent of the segment's current bytes (the
+  /// registry passes its key's hash rather than hashing the text twice).
   [[nodiscard]] static std::shared_ptr<const DecodePlan> Build(
-      isa::Arch arch, const mem::Segment& seg);
+      isa::Arch arch, const mem::Segment& seg, std::uint64_t content_hash);
 
   [[nodiscard]] isa::Arch arch() const noexcept { return arch_; }
   [[nodiscard]] mem::GuestAddr base() const noexcept { return base_; }

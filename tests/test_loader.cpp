@@ -11,6 +11,7 @@
 #include "src/loader/layout.hpp"
 #include "src/loader/libc_image.hpp"
 #include "src/loader/snapshot.hpp"
+#include "src/obs/obs.hpp"
 #include "src/vm/decode_plan.hpp"
 
 namespace connlab::loader {
@@ -626,6 +627,59 @@ TEST(Boot, DiversityReshuffledBootNeverSeesAForeignPlan) {
   // And both images execute from their own plans without faulting.
   EXPECT_NE(a->cpu->Run(50).reason, vm::StopReason::kFault);
   EXPECT_NE(b->cpu->Run(50).reason, vm::StopReason::kFault);
+}
+
+/// TakeSnapshot hashes only the segments a plan is bound to. A plan bound
+/// *after* the snapshot meets a "not hashed" image at restore time: the
+/// restore hashes the image then, so a full copy of unchanged bytes re-arms
+/// the binding and a restore of bytes the plan was not built from drops it,
+/// exactly as for a plan bound at boot.
+TEST(Snapshot, PlanBoundAfterSnapshotRearmsOrDrops) {
+  auto sys = Boot(Arch::kVX86, ProtectionConfig::None(), 7).value();
+  const mem::GuestAddr scratch = sys->Sym("scratch.start").value();
+  const mem::Segment* seg = sys->space.FindSegmentByName(".scratch");
+  ASSERT_NE(seg, nullptr);
+  auto stub = [](std::uint32_t esi_val) {
+    util::ByteWriter w;
+    isa::vx86::EncMovImm(w, isa::kESI, esi_val);
+    isa::vx86::EncHlt(w);
+    return w.bytes();
+  };
+  ASSERT_TRUE(sys->space.DebugWrite(scratch, stub(7)).ok());
+  ASSERT_TRUE(sys->space.Protect(".scratch", mem::kPermRX).ok());
+
+  const Snapshot snap = TakeSnapshot(*sys);
+  for (const Snapshot::SegmentImage& img : snap.segments) {
+    const bool bound = img.name == ".text" || img.name == "libc";
+    EXPECT_EQ(img.content_hash.has_value(), bound) << img.name;
+  }
+
+  // Bound after the snapshot, from the very bytes the snapshot holds.
+  auto& registry = vm::DecodePlanRegistry::Instance();
+  const auto plan = registry.GetOrBuild(Arch::kVX86, *seg);
+  sys->cpu->BindDecodePlan(seg, plan);
+  ASSERT_TRUE(RestoreSnapshot(*sys, snap, RestoreMode::kFull).ok());
+  EXPECT_EQ(sys->cpu->BoundPlan(seg), plan.get());
+#ifndef CONNLAB_OBS_DISABLED
+  // Re-armed, not merely kept: the next fetch is served from the plan.
+  const obs::Counter& plan_hits =
+      obs::Registry::Instance().GetCounter("vm.plan_hits");
+  const std::uint64_t hits_before = plan_hits.Value();
+  sys->cpu->set_pc(scratch);
+  sys->cpu->Step();
+  EXPECT_EQ(plan_hits.Value(), hits_before + 1);
+#endif
+
+  // Bound after the snapshot, from bytes the snapshot does not hold.
+  ASSERT_TRUE(sys->space.DebugWrite(scratch, stub(9)).ok());
+  const auto changed = registry.GetOrBuild(Arch::kVX86, *seg);
+  ASSERT_NE(changed->content_hash(), plan->content_hash());
+  sys->cpu->BindDecodePlan(seg, changed);
+  ASSERT_TRUE(RestoreSnapshot(*sys, snap, RestoreMode::kFull).ok());
+  EXPECT_EQ(sys->cpu->BoundPlan(seg), nullptr);
+  sys->cpu->set_pc(scratch);
+  EXPECT_EQ(sys->cpu->Run(100).reason, vm::StopReason::kHalted);
+  EXPECT_EQ(sys->cpu->reg(isa::kESI), 7u);
 }
 
 TEST(Snapshot, DirtyOnlyFallsBackWhenBaselineBelongsToAnotherSnapshot) {

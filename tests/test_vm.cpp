@@ -2,6 +2,11 @@
 // W^X fetch enforcement, host functions, breakpoints, step limits.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/isa/assembler.hpp"
 #include "src/isa/varm.hpp"
 #include "src/isa/vx86.hpp"
@@ -1028,6 +1033,83 @@ TEST(CpuBlockLink, BreakpointOnLinkedSuccessorEntryHonoured) {
   EXPECT_EQ(steps_seen[0], steps_seen[1]);
 }
 
+/// Host functions registered after code has run. RegisterHostFn skips the
+/// predecode flush only while no slot has been filled, so a pc the
+/// interpreter already predecoded (one Step()) and a pc compiled as a linked
+/// superblock successor (Run()) must both dispatch the new trampoline — with
+/// or without a shared plan bound, which fills the slot from the plan
+/// instead of a decode. Steps, stop, registers and events match the
+/// reference interpreter.
+TEST(CpuPredecode, HostFnRegisteredAfterRunShadowsCachedCode) {
+  util::ByteWriter probe;
+  x::EncMovImm(probe, isa::kEAX, 1);
+  const std::uint32_t p1_next =
+      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
+  x::EncAddImm(probe, isa::kEAX, 2);
+  x::EncJmp(probe, 0);
+  const std::uint32_t p2 =
+      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
+  x::EncMovImm(probe, isa::kEBX, 5);
+  const std::uint32_t p2_next =
+      0x1000 + static_cast<std::uint32_t>(probe.bytes().size());
+
+  util::ByteWriter w;
+  x::EncMovImm(w, isa::kEAX, 1);  // p1: predecoded by a single Step()
+  x::EncAddImm(w, isa::kEAX, 2);
+  x::EncJmp(w, p2);
+  x::EncMovImm(w, isa::kEBX, 5);  // p2: the linked successor block's entry
+  x::EncAddImm(w, isa::kEBX, 1);
+  x::EncHlt(w);
+
+  const Cpu::HostFn hook_p1 = [p1_next](Cpu& cpu) {
+    cpu.PushEvent(EventKind::kNote, "hook_p1");
+    cpu.set_reg(isa::kEAX, 100);
+    cpu.set_pc(p1_next);
+    return util::OkStatus();
+  };
+  const Cpu::HostFn hook_p2 = [p2_next](Cpu& cpu) {
+    cpu.PushEvent(EventKind::kNote, "hook_p2");
+    cpu.set_reg(isa::kEBX, 50);
+    cpu.set_pc(p2_next);
+    return util::OkStatus();
+  };
+  auto run = [&](ExecMode mode, bool bind_plan) {
+    auto m = MakeMachine(Arch::kVX86, w.bytes(), mem::kPermRW, mode);
+    const mem::Segment* text = m.space.FindSegmentByName(".text");
+    if (bind_plan) {
+      m.cpu->BindDecodePlan(
+          text, DecodePlanRegistry::Instance().GetOrBuild(Arch::kVX86, *text));
+    }
+    // One Step() fills p1's predecode slot; the Run() compiles the block
+    // after p1 and links it to p2's block.
+    m.cpu->Step();
+    EXPECT_EQ(m.cpu->Run(100).reason, StopReason::kHalted);
+
+    EXPECT_TRUE(m.cpu->RegisterHostFn(0x1000, "hook_p1", hook_p1).ok());
+    EXPECT_TRUE(m.cpu->RegisterHostFn(p2, "hook_p2", hook_p2).ok());
+    m.cpu->ClearStop();
+    m.cpu->set_pc(0x1000);
+    m.cpu->Step();  // a surviving slot would run `mov eax, 1` here
+    const StopInfo stop = m.cpu->Run(100);
+    std::vector<std::string> events;
+    for (const Event& e : m.cpu->events()) events.push_back(e.ToString());
+    return std::make_tuple(stop.reason, m.cpu->steps_executed(),
+                           m.cpu->reg(isa::kEAX), m.cpu->reg(isa::kEBX),
+                           m.cpu->pc(), events);
+  };
+  for (const bool bind_plan : {false, true}) {
+    SCOPED_TRACE(bind_plan ? "plan bound" : "no plan");
+    const auto fast = run(ExecMode::kFast, bind_plan);
+    EXPECT_EQ(fast, run(ExecMode::kReference, bind_plan));
+    EXPECT_EQ(std::get<0>(fast), StopReason::kHalted);
+    EXPECT_EQ(std::get<2>(fast), 102u);  // hook_p1's 100, then add eax, 2
+    EXPECT_EQ(std::get<3>(fast), 51u);   // hook_p2's 50, then add ebx, 1
+    ASSERT_EQ(std::get<5>(fast).size(), 2u);
+    EXPECT_NE(std::get<5>(fast)[0].find("hook_p1"), std::string::npos);
+    EXPECT_NE(std::get<5>(fast)[1].find("hook_p2"), std::string::npos);
+  }
+}
+
 // --- Shared decode plans: one predecoded table per image content ----------
 
 /// A CPU with a plan bound executes byte-identically to one without:
@@ -1166,6 +1248,43 @@ TEST(CpuSharedPlan, RearmRevalidatesOrDrops) {
   // binding must go away entirely.
   m.cpu->RearmDecodePlan(text, plan->content_hash() ^ 1u);
   EXPECT_EQ(m.cpu->BoundPlan(text), nullptr);
+}
+
+/// HashContent keys plans by content: equal bytes hash equally, and a flip
+/// of any single byte at any offset — the sub-word tail included — changes
+/// the hash, at every length up to five words and at a full 16 KiB image.
+/// Zero-filled buffers of different lengths differ too (the length seed).
+TEST(DecodePlanHash, EveryByteFlipChangesTheHash) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(16 * 1024);
+  const auto hash = [](const util::Bytes& b) {
+    return DecodePlan::HashContent(util::ByteSpan(b.data(), b.size()));
+  };
+  std::set<std::uint64_t> zero_hashes;
+  for (const std::size_t n : lengths) {
+    util::Bytes bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const util::Bytes copy = bytes;
+    const std::uint64_t base = hash(bytes);
+    EXPECT_EQ(base, hash(copy)) << "length " << n;
+    for (std::size_t off = 0; off < n; ++off) {
+      // Short buffers get three flips per byte; the 16 KiB image one, at a
+      // bit position that walks through all eight.
+      const auto walk = static_cast<std::uint8_t>(1u << (off % 8));
+      std::vector<std::uint8_t> flips{walk};
+      if (n <= 40) flips = {0x01, 0x80, walk};
+      for (const std::uint8_t flip : flips) {
+        bytes[off] ^= flip;
+        EXPECT_NE(hash(bytes), base) << "length " << n << " offset " << off;
+        bytes[off] ^= flip;
+      }
+    }
+    if (n <= 40) zero_hashes.insert(hash(util::Bytes(n)));
+  }
+  EXPECT_EQ(zero_hashes.size(), 41u);
 }
 
 /// Snapshot state round-trip at the CPU level: registers, flags, steps,
